@@ -1,16 +1,16 @@
 """Engine ablations for the §2.3 scheduling claims.
 
-The optimized scheduler has two key insights — pruning-power ordering and
-spatial/temporal partitioning — plus binding propagation between data
-queries, which since the identity-pushdown work has two strengths:
-``no_pushdown`` keeps propagation but applies the propagated identity sets
-by post-filtering survivors in the engine, while the full configuration
-pushes them into the storage backend's scan.  Each configuration runs the
-full Figure 4 query set so the benchmark table shows each optimization's
-contribution.  DESIGN.md calls these out as the design choices under test.
+The optimized scheduler orders patterns by pruning power and propagates
+bindings between data queries.  Since the identity-pushdown work,
+propagation has two strengths: ``no_pushdown`` keeps propagation but
+applies the propagated identity sets by post-filtering survivors in the
+engine, while the full configuration pushes them into the storage
+backend's scan.  Each configuration runs the full Figure 4 query set so
+the benchmark table shows each optimization's contribution.  DESIGN.md
+calls these out as the design choices under test.
 
-Worker counts are pinned (``BENCH_WORKERS``) so timings are deterministic
-across machines.
+Every query runs serially on the calling thread, so timings do not
+depend on the host's core count.
 """
 
 from __future__ import annotations
@@ -24,44 +24,27 @@ from repro.engine.executor import EngineOptions, execute
 from repro.lang.parser import parse
 from repro.storage.backend import create_backend
 
-# Pinned worker count for deterministic timings (kept in sync with
-# BENCH_WORKERS in benchmarks/conftest.py; duplicated here because the
-# conftest is only importable as a pytest plugin, not as a module).
-BENCH_WORKERS = 4
-
 CONFIGURATIONS = {
-    "full": EngineOptions(max_workers=BENCH_WORKERS),
-    "no_prioritize": EngineOptions(prioritize=False,
-                                   max_workers=BENCH_WORKERS),
-    "no_propagate": EngineOptions(propagate=False,
-                                  max_workers=BENCH_WORKERS),
-    "no_pushdown": EngineOptions(pushdown=False,
-                                 max_workers=BENCH_WORKERS),
+    "full": EngineOptions(),
+    "no_prioritize": EngineOptions(prioritize=False),
+    "no_propagate": EngineOptions(propagate=False),
+    "no_pushdown": EngineOptions(pushdown=False),
     # Finer levers under pushdown: temporal bounds fall back to exact
     # post-filtering of survivors / large binding sets fall back to
     # per-element set probes.  Results are identical in every config.
-    "no_temporal_pushdown": EngineOptions(temporal_pushdown=False,
-                                          max_workers=BENCH_WORKERS),
-    "no_bitmap": EngineOptions(bitmap_bindings=False,
-                               max_workers=BENCH_WORKERS),
+    "no_temporal_pushdown": EngineOptions(temporal_pushdown=False),
+    "no_bitmap": EngineOptions(bitmap_bindings=False),
     # Windowed estimates fall back to the uniform-time scaling; ordering
     # may differ, results never do.
-    "no_histogram": EngineOptions(histogram_estimates=False,
-                                  max_workers=BENCH_WORKERS),
-    "no_partition": EngineOptions(partition=False,
-                                  max_workers=BENCH_WORKERS),
+    "no_histogram": EngineOptions(histogram_estimates=False),
     # Vectorized-execution levers: the columnar batch fast path, the
     # needed-column projection sets, and the pushed top-k scan order.
     # Each is byte-identical on and off.
-    "no_vectorized": EngineOptions(vectorized=False,
-                                   max_workers=BENCH_WORKERS),
-    "no_projection": EngineOptions(projection_pushdown=False,
-                                   max_workers=BENCH_WORKERS),
-    "no_topk": EngineOptions(topk_pushdown=False,
-                             max_workers=BENCH_WORKERS),
+    "no_vectorized": EngineOptions(vectorized=False),
+    "no_projection": EngineOptions(projection_pushdown=False),
+    "no_topk": EngineOptions(topk_pushdown=False),
     "none": EngineOptions(prioritize=False, propagate=False,
-                          partition=False, pushdown=False,
-                          max_workers=BENCH_WORKERS),
+                          pushdown=False),
 }
 
 
@@ -104,8 +87,8 @@ with e1 before e2
 return distinct f
 '''
 
-_PUSH = EngineOptions(partition=False, max_workers=1, pushdown=True)
-_POST = EngineOptions(partition=False, max_workers=1, pushdown=False)
+_PUSH = EngineOptions(pushdown=True)
+_POST = EngineOptions(pushdown=False)
 
 PUSHDOWN_EVENTS = 30_000
 
@@ -193,9 +176,8 @@ TEMPORAL_EVENTS = 30_000
 #: partition skipping engages on top of the in-partition binary search.
 TEMPORAL_SPACING = 12.0
 
-_TPUSH = EngineOptions(partition=False, max_workers=1)
-_TPOST = EngineOptions(partition=False, max_workers=1,
-                       temporal_pushdown=False)
+_TPUSH = EngineOptions()
+_TPOST = EngineOptions(temporal_pushdown=False)
 
 
 def _temporal_workload():
@@ -285,9 +267,8 @@ return distinct f
 SKEW_BULK_EVENTS = 30_000
 SKEW_PROBE_EVENTS = 20_000
 
-_HIST = EngineOptions(partition=False, max_workers=1)
-_UNIFORM = EngineOptions(partition=False, max_workers=1,
-                         histogram_estimates=False)
+_HIST = EngineOptions()
+_UNIFORM = EngineOptions(histogram_estimates=False)
 
 
 def _skewed_workload():
@@ -390,14 +371,13 @@ return f, e1.amount, e1.ts sort by e1.ts desc top 25
 
 VECTORIZED_EVENTS = 30_000
 
-_VEC = EngineOptions(partition=False, max_workers=1)
-_ROWWISE = EngineOptions(partition=False, max_workers=1, vectorized=False)
-_NOTOPK = EngineOptions(partition=False, max_workers=1,
-                        topk_pushdown=False)
+_VEC = EngineOptions()
+_ROWWISE = EngineOptions(vectorized=False)
+_NOTOPK = EngineOptions(topk_pushdown=False)
 
 #: The full lever matrix every acceptance query must be invariant under.
 _LEVER_MATRIX = [
-    EngineOptions(partition=False, max_workers=1, vectorized=vectorized,
+    EngineOptions(vectorized=vectorized,
                   projection_pushdown=projection, topk_pushdown=topk)
     for vectorized in (True, False)
     for projection in (True, False)

@@ -12,6 +12,7 @@ bucket error, documented there).
 
 from __future__ import annotations
 
+import gc
 import math
 import time
 from typing import Callable, Iterable, TypeVar
@@ -41,6 +42,29 @@ def best_of(fn: Callable[[], T], rounds: int = 5) -> tuple[float, T]:
         if elapsed < best:
             best = elapsed
     return best, value
+
+
+def interleaved_pairs(first: Callable[[int], float],
+                      second: Callable[[int], float],
+                      rounds: int = 5) -> list[tuple[float, float]]:
+    """``rounds`` paired timings of two workloads, alternating the order.
+
+    Each callable receives the round index and returns its own elapsed
+    seconds.  Even rounds run ``first`` first, odd rounds ``second``
+    first, so warm-cache and host-drift bias does not always land on
+    one side; ``gc.collect()`` runs before every call.  Compare the two
+    sides per pair (both saw the same stretch of host speed) and gate on
+    the median of those per-round ratios.
+    """
+    pairs = []
+    for index in range(rounds):
+        calls = (first, second) if index % 2 == 0 else (second, first)
+        elapsed = {}
+        for call in calls:
+            gc.collect()
+            elapsed[call] = call(index)
+        pairs.append((elapsed[first], elapsed[second]))
+    return pairs
 
 
 def histogram_of(values: Iterable[float]) -> HistogramSnapshot:

@@ -247,8 +247,9 @@ class SqliteEventStore:
         if bucket_seconds <= 0:
             raise StorageError("bucket size must be positive")
         self._bucket_seconds = bucket_seconds
-        # The parallel executor issues sub-queries from worker threads;
-        # SQLite connections are not thread-safe, so serialize access.
+        # The EventBus delivery thread and the web server's request
+        # threads share this store; SQLite connections are not
+        # thread-safe, so serialize access.
         self._conn = sqlite3.connect(path, check_same_thread=False)
         self._lock = threading.Lock()
         with self._lock:
@@ -788,10 +789,6 @@ class SqliteEventStore:
             f"SELECT COUNT(*) FROM (SELECT DISTINCT agentid, {bucket} "
             "FROM backend_events)", {"b": self._bucket_seconds})
         return int(rows[0][0])
-
-    @property
-    def bucket_seconds(self) -> float:
-        return self._bucket_seconds
 
     def __len__(self) -> int:
         return self._count

@@ -5,12 +5,10 @@ from repro.engine.executor import execute, explain
 from repro.engine.dependency import rewrite_dependency
 from repro.engine.planner import DataQuery, QueryPlan, plan_multievent
 from repro.engine.scheduler import ExecutionReport, Scheduler
-from repro.engine.parallel import (execute_plan, spatially_partitionable,
-                                   temporally_partitionable)
+from repro.engine.joiner import run_plan
 
 __all__ = [
     "DEFAULT_OPTIONS", "EngineOptions", "execute", "explain",
     "rewrite_dependency", "DataQuery", "QueryPlan", "plan_multievent",
-    "ExecutionReport", "Scheduler", "execute_plan",
-    "spatially_partitionable", "temporally_partitionable",
+    "ExecutionReport", "Scheduler", "run_plan",
 ]

@@ -8,8 +8,8 @@ models such as moving averages.
 
 Execution pipeline:
 
-1. fetch the pattern's matching events (reusing the multievent planner and
-   the partitioned parallel executor);
+1. fetch the pattern's matching events (reusing the multievent planner,
+   scheduler and joiner);
 2. enumerate sliding windows over the query's time window;
 3. per window, group events (``group by``) and evaluate each return-clause
    aggregate per group;
@@ -38,8 +38,8 @@ from repro.model.timeutil import Window, format_timestamp, sliding_windows
 from repro.obs.clock import monotonic
 from repro.obs.trace import NULL_TRACER
 from repro.engine.aggregates import GroupHistory, aggregate
+from repro.engine.joiner import run_plan
 from repro.engine.options import DEFAULT_OPTIONS, EngineOptions
-from repro.engine.parallel import execute_plan
 from repro.engine.planner import plan_multievent
 from repro.engine.scheduler import ExecutionReport
 from repro.storage.backend import StorageBackend
@@ -183,8 +183,8 @@ def _fetch_events(store: StorageBackend, query: AnomalyQuery,
         # The limit applies to windowed anomaly rows, not the raw fetch.
         from dataclasses import replace
         options = replace(options, row_limit=None)
-    result = execute_plan(store, plan, options)
-    return [binding[pattern.event_var] for binding in result.rows]  # type: ignore
+    bindings, _report = run_plan(store, plan, options)
+    return [binding[pattern.event_var] for binding in bindings]  # type: ignore
 
 
 # ---------------------------------------------------------------------------

@@ -20,9 +20,8 @@ from repro.lang.ast import (AnomalyQuery, DependencyQuery, MultieventQuery,
 from repro.core.results import QueryResult
 from repro.engine.anomaly import execute_anomaly
 from repro.engine.dependency import rewrite_dependency
-from repro.engine.joiner import Binding
+from repro.engine.joiner import Binding, run_plan
 from repro.engine.options import DEFAULT_OPTIONS, EngineOptions
-from repro.engine.parallel import execute_plan, merge_reports
 from repro.engine.planner import QueryPlan, plan_multievent
 from repro.engine.scheduler import Scheduler
 from repro.storage.backend import StorageBackend
@@ -77,14 +76,6 @@ def explain(store: StorageBackend, query: Query,
         ops = "||".join(sorted(dq.operations))
         lines.append(f"  {dq.event_var}: {dq.event_type}/{ops} "
                      f"estimated {estimate} events via {info.name}")
-    from repro.engine.parallel import (spatially_partitionable,
-                                       temporally_partitionable)
-    if spatially_partitionable(plan):
-        lines.append("  partitioning: spatial (one sub-query per agent)")
-    elif temporally_partitionable(plan):
-        lines.append("  partitioning: temporal (one sub-query per bucket)")
-    else:
-        lines.append("  partitioning: none (cross-host join)")
     return "\n".join(lines)
 
 
@@ -108,12 +99,10 @@ def _execute_multievent(store: StorageBackend, query: MultieventQuery,
             return QueryResult(columns=columns, rows=rows, elapsed=elapsed,
                                kind="multievent", report=report.describe(),
                                execution=report)
-    parallel = execute_plan(store, plan, options)
+    bindings, report = run_plan(store, plan, options)
     with tracer.span("project") as span:
-        columns, rows = project_bindings(plan, query, parallel.rows)
-        span.set(bindings=len(parallel.rows), rows=len(rows))
-    report = merge_reports(parallel.reports)
-    report.joined_rows = len(parallel.rows)
+        columns, rows = project_bindings(plan, query, bindings)
+        span.set(bindings=len(bindings), rows=len(rows))
     elapsed = monotonic() - started
     report.elapsed = elapsed
     return QueryResult(columns=columns, rows=rows, elapsed=elapsed,

@@ -21,8 +21,11 @@ from dataclasses import dataclass
 
 from repro.errors import ExecutionError
 from repro.model.events import Event
+from repro.obs.trace import NULL_TRACER
+from repro.engine.options import DEFAULT_OPTIONS, EngineOptions
 from repro.engine.planner import DataQuery, QueryPlan
-from repro.engine.scheduler import ScheduledMatches
+from repro.engine.scheduler import ExecutionReport, ScheduledMatches, Scheduler
+from repro.storage.backend import StorageBackend
 
 # A binding maps event variables to events and entity variables to entities.
 Binding = dict[str, object]
@@ -46,6 +49,27 @@ class TemporalCheck:
         if self.within is not None:
             return right_evt.ts - left_evt.ts <= self.within
         return True
+
+
+def run_plan(store: StorageBackend, plan: QueryPlan,
+             options: EngineOptions = DEFAULT_OPTIONS,
+             ) -> tuple[list[Binding], ExecutionReport]:
+    """Schedule a planned query's patterns, then join their matches.
+
+    The one execution path of every multievent query and of the anomaly
+    engine's event fetch; ``options.row_limit`` bounds the intermediate
+    join rows of the whole query.
+    """
+    tracer = options.tracer or NULL_TRACER
+    with tracer.span("schedule"):
+        scheduled = Scheduler(store, options).run(plan)
+    with tracer.span("join") as span:
+        rows = join(plan, scheduled, row_limit=(
+            DEFAULT_ROW_LIMIT if options.row_limit is None
+            else options.row_limit))
+        span.set(rows=len(rows))
+    scheduled.report.joined_rows = len(rows)
+    return rows, scheduled.report
 
 
 def join(plan: QueryPlan, scheduled: ScheduledMatches,

@@ -1,9 +1,9 @@
 """Engine feature toggles, shared by every execution layer.
 
 One frozen options object travels from the session facade through the
-executor, the parallel partitioner, the anomaly engine, and the scheduler
-— instead of an ever-growing keyword tail duplicated at each hop.  The
-ablation benchmark flips individual flags to measure each optimization's
+executor, the anomaly engine, the scheduler and the joiner — instead of
+an ever-growing keyword tail duplicated at each hop.  The ablation
+benchmark flips individual flags to measure each optimization's
 contribution.
 """
 
@@ -51,14 +51,16 @@ class EngineOptions:
     pushdown (a projection missing a consumed column, a temporal bound
     tighter than the closure implies, an order limit where post-filters
     could still thin survivors, a binding set not justified by executed
-    partners) — a debugging/CI harness, off by default.  ``max_workers``
-    of ``None`` sizes the sub-query pool to the machine
-    (:data:`repro.engine.parallel.DEFAULT_WORKERS`).
+    partners) — a debugging/CI harness, off by default.  ``row_limit``
+    caps the intermediate join rows of one whole query (``None`` =
+    :data:`repro.engine.joiner.DEFAULT_ROW_LIMIT`); exceeding it raises
+    :class:`~repro.errors.ExecutionError`.  Every query runs serially on
+    the calling thread; process-level parallelism belongs to the
+    ``sharded`` storage tier.
     """
 
     prioritize: bool = True      # pruning-power pattern ordering
     propagate: bool = True       # binding propagation between patterns
-    partition: bool = True       # spatial/temporal sub-query parallelism
     pushdown: bool = True        # bindings/bounds pushed into backend scans
     temporal_pushdown: bool = True   # temporal bounds as scan predicates
     bitmap_bindings: bool = True     # bitmap/bloom large-binding-set tiers
@@ -68,7 +70,6 @@ class EngineOptions:
     topk_pushdown: bool = True   # ts-ordered limit into ScanSpec
     explain: bool = False        # record access paths in execution reports
     verify_plans: bool = False   # statically check every emitted ScanSpec
-    max_workers: int | None = None
     row_limit: int | None = None
     # Span sink for this execution; None = tracing off.  Excluded from
     # equality/hash/repr: a tracer is a per-query collection vessel, not

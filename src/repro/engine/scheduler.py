@@ -102,33 +102,6 @@ class ExecutionReport:
     joined_rows: int = 0
     elapsed: float = 0.0
 
-    def aggregated(self) -> "list[PatternExecution]":
-        """Per-pattern totals across partitions, in execution order.
-
-        The parallel executor concatenates one :class:`PatternExecution`
-        per pattern *per partition*; the EXPLAIN ANALYZE surface wants
-        one line per pattern, so sum counts and elapsed per event
-        variable (keeping the first recorded access path).
-        """
-        by_var: dict[str, PatternExecution] = {}
-        for trace in self.patterns:
-            agg = by_var.get(trace.event_var)
-            if agg is None:
-                by_var[trace.event_var] = PatternExecution(
-                    event_var=trace.event_var, estimate=trace.estimate,
-                    fetched=trace.fetched, matched=trace.matched,
-                    elapsed=trace.elapsed, path=trace.path)
-            else:
-                agg.estimate += trace.estimate
-                agg.fetched += trace.fetched
-                agg.matched += trace.matched
-                agg.elapsed += trace.elapsed
-                if not agg.path:
-                    agg.path = trace.path
-        ordered = [var for var in dict.fromkeys(self.order) if var in by_var]
-        ordered += [var for var in by_var if var not in ordered]
-        return [by_var[var] for var in ordered]
-
     def describe(self) -> str:
         lines = [f"pattern order: {' -> '.join(self.order) or '(none)'}"]
         for trace in self.patterns:
@@ -214,21 +187,14 @@ class Scheduler:
                         histograms=self._histograms,
                         projection=projection, order=order)
 
-    def run(self, plan: QueryPlan,
-            window: Window | None = None,
-            agentids: frozenset[int] | None = None) -> ScheduledMatches:
-        """Fetch and filter matches for every pattern.
-
-        ``window``/``agentids`` optionally override the plan's own bounds —
-        the parallel executor uses this to run the same plan per partition.
-        """
-        base_window = window if window is not None else plan.window
+    def run(self, plan: QueryPlan) -> ScheduledMatches:
+        """Fetch and filter matches for every pattern."""
         started = monotonic()
         report = ExecutionReport()
 
         estimates = {
             dq.index: self._store.estimate(
-                dq.profile, self._spec(base_window, _agents(dq, agentids)))
+                dq.profile, self._spec(plan.window, _agents(dq)))
             for dq in plan.data_queries
         }
         ordered = list(plan.data_queries)
@@ -255,7 +221,7 @@ class Scheduler:
                       if self._propagate else None)
             bindings = (self._bindings_for(dq, identity_sets)
                         if self._propagate else None)
-            spec = self._spec(base_window, _agents(dq, agentids),
+            spec = self._spec(plan.window, _agents(dq),
                               bindings if self._pushdown else None,
                               bounds if self._temporal else None,
                               projection=(projections[dq.index]
@@ -320,16 +286,14 @@ class Scheduler:
                                       ts_bounds)
                 self._narrow_executed_spans(closure, ts_bounds, executed)
                 self._reorder_remaining(ordered, position, dq, estimates,
-                                        base_window, agentids,
-                                        identity_sets, closure, ts_bounds)
+                                        plan.window, identity_sets, closure,
+                                        ts_bounds)
         report.order = [dq.event_var for dq in ordered]
         report.elapsed = monotonic() - started
         return ScheduledMatches(order=ordered, events=matches, report=report)
 
-    def explain(self, plan: QueryPlan,
-                window: Window | None = None,
-                agentids: frozenset[int] | None = None,
-                ) -> list[tuple[DataQuery, int, "object"]]:
+    def explain(self,
+                plan: QueryPlan) -> list[tuple[DataQuery, int, "object"]]:
         """Static per-pattern scan decisions, without executing.
 
         Returns ``(data query, statistics-based estimate, access path)``
@@ -337,12 +301,11 @@ class Scheduler:
         execution half (actual rows) comes from running with
         ``options.explain`` on.
         """
-        base_window = window if window is not None else plan.window
         projections = plan.projections if self._projection else ()
         scan_order = plan.scan_order if self._topk else None
         decisions = []
         for dq in plan.data_queries:
-            spec = self._spec(base_window, _agents(dq, agentids),
+            spec = self._spec(plan.window, _agents(dq),
                               projection=(projections[dq.index]
                                           if projections else None),
                               order=scan_order)
@@ -358,8 +321,7 @@ class Scheduler:
 
     def _reorder_remaining(self, ordered: list[DataQuery], position: int,
                            executed: DataQuery, estimates: dict[int, int],
-                           base_window: Window | None,
-                           agentids: frozenset[int] | None,
+                           window: Window | None,
                            identity_sets: dict[str, set[tuple]],
                            closure: dict[tuple[str, str], float],
                            ts_bounds: dict[str, tuple[float, float]],
@@ -390,7 +352,7 @@ class Scheduler:
                 continue
             estimates[dq.index] = self._store.estimate(
                 dq.profile, self._spec(
-                    base_window, _agents(dq, agentids),
+                    window, _agents(dq),
                     self._bindings_for(dq, identity_sets),
                     (self._bounds_for(dq, closure, ts_bounds)
                      if self._temporal else None)))
@@ -537,11 +499,5 @@ def _shallow_bytes(events: list[Event]) -> int:
     return sum(sys.getsizeof(event) for event in events)
 
 
-def _agents(dq: DataQuery,
-            override: frozenset[int] | None) -> set[int] | None:
-    own = dq.agentids
-    if override is None:
-        return set(own) if own is not None else None
-    if own is None:
-        return set(override)
-    return set(own & override)
+def _agents(dq: DataQuery) -> set[int] | None:
+    return set(dq.agentids) if dq.agentids is not None else None

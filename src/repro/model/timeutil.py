@@ -142,18 +142,6 @@ class Window:
     def shift(self, delta: float) -> "Window":
         return Window(self.start + delta, self.end + delta)
 
-    def split(self, bucket_seconds: float) -> list["Window"]:
-        """Split into bucket-aligned sub-windows covering the interval."""
-        if bucket_seconds <= 0:
-            raise DataModelError("bucket size must be positive")
-        windows = []
-        cursor = self.start
-        while cursor < self.end:
-            upper = min(self.end, cursor + bucket_seconds)
-            windows.append(Window(cursor, upper))
-            cursor = upper
-        return windows
-
     @classmethod
     def for_day(cls, date_text: str) -> "Window":
         """The paper's ``(at "mm/dd/yyyy")`` clause: one whole day."""

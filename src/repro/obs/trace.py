@@ -8,10 +8,11 @@ A :class:`Tracer` hands out spans through a context manager::
 
 ``tools/check_invariants.py`` enforces that every ``.span(...)`` call
 *is* a ``with`` context expression, so spans close on all exception
-paths by construction.  Span stacks are thread-local — the parallel
-executor runs sub-queries on a thread pool and each worker thread's
-spans nest independently — and every finished span records a stable
-small ``tid`` so Chrome's viewer lays the threads out as tracks.
+paths by construction.  A query runs on the calling thread, so its
+spans form one track.  Span stacks are still thread-local — streaming
+threads may trace at the same time and each thread's spans nest
+independently — and every finished span records a stable small ``tid``
+so Chrome's viewer lays the threads out as tracks.
 
 :data:`NULL_TRACER` is the disabled implementation: ``span()`` returns
 a shared no-op whose ``set()`` does nothing, so instrumented code pays

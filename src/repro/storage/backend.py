@@ -559,9 +559,6 @@ class StorageBackend(Protocol):
     @property
     def partition_count(self) -> int: ...
 
-    @property
-    def bucket_seconds(self) -> float: ...
-
     def __len__(self) -> int: ...
 
 

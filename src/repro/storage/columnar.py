@@ -88,8 +88,9 @@ class ColumnarPartition:
         # row) so the lazy time-sort never invalidates it; repeated queries
         # over hot rows skip re-materialization.
         self.materialized: dict[int, Event] = {}
-        # The parallel executor reads partitions from worker threads; the
-        # lazy resort must not run twice concurrently.
+        # The EventBus delivery thread and the web server's request
+        # threads can reach a partition at once; the lazy resort must not
+        # run twice concurrently.
         self._sort_lock = threading.Lock()
         self.ids = array("q")
         self.ts = array("d")
@@ -1186,10 +1187,6 @@ class ColumnarEventStore:
     @property
     def partition_count(self) -> int:
         return len(self._partitions)
-
-    @property
-    def bucket_seconds(self) -> float:
-        return self._bucket_seconds
 
     def __len__(self) -> int:
         return self._count

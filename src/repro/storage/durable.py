@@ -383,10 +383,6 @@ class DurableStore:
     def partition_count(self) -> int:
         return self._inner.partition_count
 
-    @property
-    def bucket_seconds(self) -> float:
-        return self._inner.bucket_seconds
-
     def __len__(self) -> int:
         return len(self._inner)
 

@@ -192,8 +192,9 @@ class ShardedStore:
 
     ``backend`` names the single-node backend every worker hosts; any
     registered non-sharded name works (``row``/``columnar``/``sqlite``).
-    The instance is thread-safe: the engine's sub-query pool may call
-    scans concurrently, and one coordinator lock serializes RPC rounds
+    The instance is thread-safe: the EventBus delivery thread and the
+    web server's request threads may call it concurrently, and one
+    coordinator lock serializes RPC rounds
     (workers still execute their shard's scan in parallel *within* a
     round — that is where the speedup lives).
     """
@@ -206,7 +207,6 @@ class ShardedStore:
             raise StorageError("sharded backends do not nest")
         self.backend_name = f"sharded({backend})"
         self.shard_backend = backend
-        self._bucket_seconds = bucket_seconds
         # Probe the hosted backend *before* spawning anything: an unknown
         # name fails fast here instead of crashing N fresh workers, and
         # the probe decides the batch surface — the vectorized executor
@@ -616,10 +616,6 @@ class ShardedStore:
     @property
     def partition_count(self) -> int:
         return sum(stats["partition_count"] for stats in self._stats())
-
-    @property
-    def bucket_seconds(self) -> float:
-        return self._bucket_seconds
 
     def __len__(self) -> int:
         return self._count

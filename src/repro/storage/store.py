@@ -260,10 +260,6 @@ class EventStore:
     def partition_count(self) -> int:
         return self._table.partition_count
 
-    @property
-    def bucket_seconds(self) -> float:
-        return self._table.bucket_seconds
-
     def __len__(self) -> int:
         return len(self._table)
 

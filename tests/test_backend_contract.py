@@ -98,8 +98,14 @@ class TestRecordAndScan:
     def test_span_agentids_partitions(self, store):
         assert store.agentids == {1, 2}
         assert store.span.contains(500.0)
-        assert store.partition_count >= 2
-        assert store.bucket_seconds == 1000
+        # One partition per (agent, 1000 s bucket): everything so far
+        # sits in bucket 0 of agents 1 and 2.  A write at ts=1500 opens
+        # bucket 1 only if the store honours the 1000 s width (the
+        # default one-day width would keep it in bucket 0).
+        assert store.partition_count == 2
+        store.record(1500.0, 1, "write", ProcessEntity(1, 10, "writer.exe"),
+                     FileEntity(1, "/data/0.txt"), amount=100)
+        assert store.partition_count == 3
 
 
 class TestCandidatesAndEstimates:

@@ -114,7 +114,25 @@ class TestRowLimitThroughApi:
             session.query(
                 'proc a["%a.exe%"] write file f as e1\n'
                 'proc b["%b.exe%"] write file g as e2\nreturn f, g',
-                options=EngineOptions(row_limit=50, partition=False))
+                options=EngineOptions(row_limit=50))
+
+    def test_row_limit_bounds_the_whole_query_not_each_agent(self):
+        """Two agents each build 36 intermediate rows (6 writes x 6 reads
+        by one shared process): 72 in total, over a limit of 50, even
+        though neither agent alone reaches it."""
+        session = AiqlSession()
+        for agent in (1, 2):
+            proc = ProcessEntity(agent, 1, "p.exe")
+            for index in range(6):
+                session.store.record(BASE_TS + index, agent, "write", proc,
+                                     FileEntity(agent, f"/w{index}"))
+                session.store.record(BASE_TS + 10 + index, agent, "read",
+                                     proc, FileEntity(agent, f"/r{index}"))
+        with pytest.raises(ExecutionError, match="intermediate rows"):
+            session.query(
+                'proc p["%p.exe%"] write file f as e1\n'
+                'proc p read file g as e2\nreturn f, g',
+                options=EngineOptions(row_limit=50))
 
 
 class TestRenderEdges:

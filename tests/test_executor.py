@@ -125,6 +125,52 @@ class TestProjectionErrors:
             execute(exfil_store, bad)
 
 
+class TestSerialPlan:
+    """Every multievent query takes one serial schedule -> join path;
+    pattern matches from every agent meet in that one join."""
+
+    SHARED_QUERY = ('proc w["%writer%"] write file f["%secret%"] as e1\n'
+                    'proc r["%reader%"] read file f as e2\n'
+                    'with e1 before e2\nreturn f')
+
+    @pytest.fixture
+    def multi_agent_store(self):
+        from repro.model.entities import FileEntity, ProcessEntity
+        from repro.storage.store import EventStore
+        from tests.conftest import BASE_TS
+        store = EventStore(bucket_seconds=3600)
+        for agent in (1, 2, 3):
+            writer = ProcessEntity(agent, 1, "writer.exe")
+            reader = ProcessEntity(agent, 2, "reader.exe")
+            target = FileEntity(agent, f"/data/secret{agent}")
+            store.record(BASE_TS + agent, agent, "write", writer, target)
+            store.record(BASE_TS + agent + 10, agent, "read", reader, target)
+            for index in range(30):
+                store.record(BASE_TS + 100 + index, agent, "write", writer,
+                             FileEntity(agent, f"/noise/{index}"))
+        return store
+
+    def _names(self, store, options=None):
+        from repro.engine.joiner import run_plan
+        from repro.engine.planner import plan_multievent
+        plan = plan_multievent(parse(self.SHARED_QUERY))
+        rows, _report = run_plan(store, plan, options or EngineOptions())
+        return sorted(row["f"].name for row in rows)
+
+    def test_all_agents_found(self, multi_agent_store):
+        assert self._names(multi_agent_store) == [
+            "/data/secret1", "/data/secret2", "/data/secret3"]
+
+    def test_ablation_flags_preserve_results(self, multi_agent_store):
+        reference = self._names(multi_agent_store)
+        for prioritize in (True, False):
+            for propagate in (True, False):
+                for pushdown in (True, False):
+                    assert self._names(multi_agent_store, EngineOptions(
+                        prioritize=prioritize, propagate=propagate,
+                        pushdown=pushdown)) == reference
+
+
 class TestVectorizedAndTopK:
     """The vectorized fast path and the bounded-heap ``top`` are pure
     optimizations: every lever combination, on every backend, must
@@ -133,7 +179,7 @@ class TestVectorizedAndTopK:
 
     LEVERS = [EngineOptions(vectorized=vectorized,
                             projection_pushdown=projection,
-                            topk_pushdown=topk, max_workers=1)
+                            topk_pushdown=topk)
               for vectorized in (False, True)
               for projection in (False, True)
               for topk in (False, True)]

@@ -342,7 +342,7 @@ class TestAnalyzeSurfaces:
                 if result.kind == "anomaly":
                     assert result.execution.elapsed >= 0.0
                     continue
-                patterns = result.execution.aggregated()
+                patterns = result.execution.patterns
                 assert patterns, entry.id
                 for trace in patterns:
                     assert trace.matched >= 0
@@ -353,6 +353,27 @@ class TestAnalyzeSurfaces:
             close = getattr(session.store, "close", None)
             if close is not None:
                 close()
+
+
+class TestSingleTrackTraces:
+    @pytest.mark.parametrize("backend", ["row", "sqlite"])
+    def test_catalog_query_traces_stay_on_the_calling_thread(
+            self, demo_events, backend):
+        """A traced query is one track: every span carries the caller's
+        tid, and its schedule and join spans (which never overlap) sum
+        to no more than the root ``query`` span."""
+        from repro.investigate import FIGURE4_QUERIES
+
+        session = AiqlSession(backend=backend)
+        session.ingest(demo_events)
+        for entry in FIGURE4_QUERIES:
+            session.query(entry.aiql, trace=True)
+            spans = session.last_trace().spans()
+            (root,) = [span for span in spans if span.name == "query"]
+            assert {span.tid for span in spans} == {root.tid}, entry.id
+            engine = sum(span.elapsed for span in spans
+                         if span.name in ("schedule", "join"))
+            assert engine <= root.elapsed, entry.id
 
 
 class TestStreamAndWalMetrics:

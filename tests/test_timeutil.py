@@ -91,22 +91,6 @@ class TestWindow:
         assert Window(0, 10).overlaps(Window(9, 12))
         assert not Window(0, 10).overlaps(Window(10, 12))
 
-    def test_split_covers_whole_window(self):
-        window = Window(0, 100)
-        parts = window.split(30)
-        assert parts[0].start == 0
-        assert parts[-1].end == 100
-        assert sum(part.duration for part in parts) == 100
-
-    @given(st.floats(min_value=0, max_value=1e6),
-           st.floats(min_value=1, max_value=1e5),
-           st.floats(min_value=1, max_value=1e4))
-    def test_split_parts_are_adjacent(self, start, length, bucket):
-        window = Window(start, start + length)
-        parts = window.split(bucket)
-        for left, right in zip(parts, parts[1:]):
-            assert left.end == right.start
-
 
 class TestSlidingWindows:
     def test_count_and_spacing(self):

@@ -51,8 +51,7 @@ LEVERS = {
                                    projection_pushdown=False),
     "no-topk": EngineOptions(verify_plans=True, topk_pushdown=False),
     "no-propagate": EngineOptions(verify_plans=True, propagate=False),
-    "serial": EngineOptions(verify_plans=True, prioritize=False,
-                            partition=False),
+    "serial": EngineOptions(verify_plans=True, prioritize=False),
 }
 
 

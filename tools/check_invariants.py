@@ -35,13 +35,21 @@ alongside ruff/mypy and runnable anywhere Python is (no dependencies):
 ``spawn-only``
     Worker processes must come from the ``spawn`` multiprocessing
     context.  The coordinator process may already run threads (the
-    streaming ``EventBus`` delivery thread, the engine's sub-query
-    pool), and ``fork()`` in a threaded process clones locks whose
+    streaming ``EventBus`` delivery thread, the web server's request
+    threads), and ``fork()`` in a threaded process clones locks whose
     owning threads do not survive — a child deadlocked on a copied
     mutex.  Bans ``get_context()`` with any argument other than the
     literal ``"spawn"`` and direct ``multiprocessing.Process`` /
     ``Pool`` / ``Pipe`` construction (which use the platform default,
     ``fork`` on Linux); go through ``shardrpc.SPAWN_CONTEXT``.
+
+``engine-threads``
+    Nothing under ``repro/engine/`` may import a thread pool or a thread
+    (``concurrent.futures``, ``ThreadPoolExecutor``, ``threading.Thread``,
+    ``multiprocessing.pool.ThreadPool``).  Every query runs serially on
+    the calling thread — one trace track, one ``row_limit`` budget —
+    and process-level parallelism has exactly one home, the ``sharded``
+    storage tier.  Locks (``threading.Lock``) stay legal.
 
 ``mutable-default``
     No mutable default arguments (``def f(x, acc=[])``), the classic
@@ -74,6 +82,13 @@ SCAN_SPEC_MODULES = ("repro/storage/sharded.py", "repro/storage/shardrpc.py")
 #: Directories (relative to src/repro) where direct clock reads are
 #: banned — these read time only through ``repro.obs.clock.monotonic``.
 CLOCK_FREE = ("engine", "stream", "storage")
+
+#: Thread and thread-pool names the engine may not import or reference.
+ENGINE_THREAD_NAMES = ("Thread", "ThreadPoolExecutor", "ThreadPool")
+
+#: Modules whose import alone brings a thread pool into the engine.
+ENGINE_THREAD_MODULES = ("concurrent", "concurrent.futures",
+                         "multiprocessing.pool")
 
 #: Process/pipe constructors that implicitly use the platform-default
 #: start method (``fork`` on Linux) when called on the bare module.
@@ -141,7 +156,8 @@ class Checker(ast.NodeVisitor):
                                   for name in CLOCK_FREE)
                               and "repro/obs/" not in posix)
         self._with_spans: set[int] = set()
-        self.in_engine = ("repro/engine/" in posix
+        self.in_engine_dir = "repro/engine/" in posix
+        self.in_engine = (self.in_engine_dir
                           or any(posix.endswith(module)
                                  for module in SCAN_SPEC_MODULES))
 
@@ -164,6 +180,36 @@ class Checker(ast.NodeVisitor):
 
     def visit_AsyncFunctionDef(self, node: ast.AsyncFunctionDef) -> None:
         self._check_defaults(node)
+        self.generic_visit(node)
+
+    # -- imports: no threads or thread pools in the engine ----------------
+    def _engine_thread(self, node: ast.AST, what: str) -> None:
+        self.report(node, "engine-threads",
+                    f"{what} in repro/engine/ — queries run serially on "
+                    f"the calling thread; parallelism lives in the "
+                    f"sharded storage tier")
+
+    def visit_Import(self, node: ast.Import) -> None:
+        if self.in_engine_dir:
+            for alias in node.names:
+                if alias.name in ENGINE_THREAD_MODULES:
+                    self._engine_thread(node, f"import {alias.name}")
+        self.generic_visit(node)
+
+    def visit_ImportFrom(self, node: ast.ImportFrom) -> None:
+        if self.in_engine_dir:
+            module = node.module or ""
+            for alias in node.names:
+                if (module in ENGINE_THREAD_MODULES
+                        or f"{module}.{alias.name}" in ENGINE_THREAD_MODULES
+                        or alias.name in ENGINE_THREAD_NAMES):
+                    self._engine_thread(
+                        node, f"from {module} import {alias.name}")
+        self.generic_visit(node)
+
+    def visit_Attribute(self, node: ast.Attribute) -> None:
+        if self.in_engine_dir and node.attr in ENGINE_THREAD_NAMES:
+            self._engine_thread(node, ".".join(_dotted(node)))
         self.generic_visit(node)
 
     # -- with statements: the one legal home for tracer spans --------------
@@ -226,7 +272,7 @@ class Checker(ast.NodeVisitor):
                 self.report(node, "spawn-only",
                             "get_context() must request the literal "
                             "'spawn' start method — fork after threads "
-                            "(EventBus, sub-query pool) deadlocks")
+                            "(EventBus, web server) deadlocks")
         elif (len(dotted) >= 2 and dotted[0] == "multiprocessing"
               and dotted[-1] in FORKING_CONSTRUCTORS):
             self.report(node, "spawn-only",
