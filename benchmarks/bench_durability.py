@@ -11,13 +11,11 @@ Writes ``BENCH_durability.json`` so CI can archive the trajectory next
 to ``BENCH_stream.json``.  Scale knobs:
 
 * ``REPRO_BENCH_DURABILITY_EVENTS``        — stream length (default 50000)
-* ``REPRO_BENCH_DURABILITY_ROUNDS``        — interleaved ingest rounds
-  (default 5)
 * ``REPRO_BENCH_DURABILITY_MAX_OVERHEAD``  — asserted ingest-overhead
   ceiling (default 2.0; the acceptance bound)
 
 The overhead is the median of per-round durable/in-memory ratios over
-interleaved rounds that alternate which side runs first
+five interleaved rounds that alternate which side runs first
 (:func:`benchlib.interleaved_pairs`): one pair per round sees one
 stretch of host speed, so a slow moment cannot land on one side only.
 
@@ -47,7 +45,7 @@ from repro.storage.store import EventStore
 from repro.stream import EventBus
 
 EVENTS = int(os.environ.get("REPRO_BENCH_DURABILITY_EVENTS", "50000"))
-ROUNDS = int(os.environ.get("REPRO_BENCH_DURABILITY_ROUNDS", "5"))
+ROUNDS = 5
 MAX_OVERHEAD = float(os.environ.get(
     "REPRO_BENCH_DURABILITY_MAX_OVERHEAD", "2.0"))
 BATCH = 2048
@@ -94,11 +92,11 @@ def test_durable_ingest_overhead_and_recovery_time(tmp_path):
     durable_dir = tmp_path / "durable"
     wal_bytes = 0
 
-    def in_memory(_round: int) -> float:
+    def in_memory() -> float:
         # Baseline: the in-memory attach_store path.
         return _stream_into(EventStore(), events)
 
-    def durable(_round: int) -> float:
+    def durable() -> float:
         # Same stream, WAL-appended ahead of every batch; the last
         # round's directory stays for the recovery measurements.
         nonlocal wal_bytes

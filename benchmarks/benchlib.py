@@ -44,15 +44,14 @@ def best_of(fn: Callable[[], T], rounds: int = 5) -> tuple[float, T]:
     return best, value
 
 
-def interleaved_pairs(first: Callable[[int], float],
-                      second: Callable[[int], float],
+def interleaved_pairs(first: Callable[[], float],
+                      second: Callable[[], float],
                       rounds: int = 5) -> list[tuple[float, float]]:
     """``rounds`` paired timings of two workloads, alternating the order.
 
-    Each callable receives the round index and returns its own elapsed
-    seconds.  Even rounds run ``first`` first, odd rounds ``second``
-    first, so warm-cache and host-drift bias does not always land on
-    one side; ``gc.collect()`` runs before every call.  Compare the two
+    Each callable returns its own elapsed seconds.  Even rounds run
+    ``first`` first, odd rounds ``second`` first, so warm-cache and
+    host-drift bias does not always land on one side; ``gc.collect()`` runs before every call.  Compare the two
     sides per pair (both saw the same stretch of host speed) and gate on
     the median of those per-round ratios.
     """
@@ -62,7 +61,7 @@ def interleaved_pairs(first: Callable[[int], float],
         elapsed = {}
         for call in calls:
             gc.collect()
-            elapsed[call] = call(index)
+            elapsed[call] = call()
         pairs.append((elapsed[first], elapsed[second]))
     return pairs
 

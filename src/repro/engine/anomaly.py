@@ -25,7 +25,8 @@ remain expressible; a group is only evaluated after it first appears.
 from __future__ import annotations
 
 import bisect
-from dataclasses import dataclass
+import sys
+from dataclasses import dataclass, replace
 from typing import Callable
 
 from repro.errors import SemanticError
@@ -179,10 +180,10 @@ def _fetch_events(store: StorageBackend, query: AnomalyQuery,
         header=query.header, patterns=query.patterns, temporal=(),
         return_items=(ReturnItem(VarRef(pattern.event_var)),))
     plan = plan_multievent(wrapper)
-    if options.row_limit is not None:
-        # The limit applies to windowed anomaly rows, not the raw fetch.
-        from dataclasses import replace
-        options = replace(options, row_limit=None)
+    # A one-pattern fetch yields one row per matching event, never a join
+    # blow-up, so neither the caller's row_limit nor the default cap on
+    # intermediate join rows applies to it.
+    options = replace(options, row_limit=sys.maxsize)
     bindings, _report = run_plan(store, plan, options)
     return [binding[pattern.event_var] for binding in bindings]  # type: ignore
 

@@ -8,11 +8,12 @@ row-limit enforcement through the public API.
 import pytest
 
 from repro import AiqlSession, EngineOptions, ExecutionError
+from repro.engine import joiner
 from repro.model.entities import FileEntity, ProcessEntity
 from repro.model.timeutil import Window
 from repro.storage.store import EventStore
 
-from tests.conftest import BASE_TS
+from tests.conftest import BASE_TS, DAY
 
 
 class TestInterningSemantics:
@@ -133,6 +134,28 @@ class TestRowLimitThroughApi:
                 'proc p["%p.exe%"] write file f as e1\n'
                 'proc p read file g as e2\nreturn f, g',
                 options=EngineOptions(row_limit=50))
+
+    def test_default_cap_bounds_joins_but_not_the_anomaly_fetch(
+            self, monkeypatch):
+        """The default intermediate-row cap covers a whole multievent
+        query; the anomaly engine's one-pattern event fetch is exempt."""
+        monkeypatch.setattr(joiner, "DEFAULT_ROW_LIMIT", 10)
+        session = AiqlSession()
+        proc = ProcessEntity(1, 1, "p.exe")
+        for index in range(20):
+            session.store.record(BASE_TS + index, 1, "write", proc,
+                                 FileEntity(1, f"/w{index}"))
+        anomaly = session.query(f'''
+(at "{DAY}")
+window = 1 min, step = 1 min
+proc p write file f as evt
+return p, count(evt) as c
+group by p
+''')
+        assert anomaly.rows[0][2] == 20
+        with pytest.raises(ExecutionError, match="10 intermediate rows"):
+            session.query('proc p["%p.exe%"] write file f as e1\n'
+                          'proc p write file g as e2\nreturn f, g')
 
 
 class TestRenderEdges:

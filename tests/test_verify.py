@@ -39,7 +39,7 @@ BACKENDS = tuple(
 
 #: Each lever combination exercises a different spec-derivation path in
 #: the scheduler (post-filter fallbacks, vectorized fast path, no
-#: propagation state, serial execution ...); the verifier must accept
+#: propagation state, plan-order patterns ...); the verifier must accept
 #: the emitted specs under all of them.
 LEVERS = {
     "default": EngineOptions(verify_plans=True),
@@ -51,7 +51,7 @@ LEVERS = {
                                    projection_pushdown=False),
     "no-topk": EngineOptions(verify_plans=True, topk_pushdown=False),
     "no-propagate": EngineOptions(verify_plans=True, propagate=False),
-    "serial": EngineOptions(verify_plans=True, prioritize=False),
+    "no-prioritize": EngineOptions(verify_plans=True, prioritize=False),
 }
 
 
