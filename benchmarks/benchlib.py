@@ -51,9 +51,10 @@ def interleaved_pairs(first: Callable[[], float],
 
     Each callable returns its own elapsed seconds.  Even rounds run
     ``first`` first, odd rounds ``second`` first, so warm-cache and
-    host-drift bias does not always land on one side; ``gc.collect()`` runs before every call.  Compare the two
-    sides per pair (both saw the same stretch of host speed) and gate on
-    the median of those per-round ratios.
+    host-drift bias does not always land on one side; ``gc.collect()``
+    runs before every call.  Compare the two sides per pair (both saw
+    the same stretch of host speed) and gate on the median of those
+    per-round ratios.
     """
     pairs = []
     for index in range(rounds):

@@ -15,7 +15,9 @@ Concretely the scheduler:
 3. short-circuits to an empty result the moment any pattern has no match.
 
 Both optimizations are individually toggleable so the ablation benchmark
-can measure their contribution.
+can measure their contribution.  Whatever propagation derives always
+travels into the backend scan inside the
+:class:`~repro.storage.backend.ScanSpec`.
 """
 
 from __future__ import annotations
@@ -30,17 +32,16 @@ from repro.obs.clock import monotonic
 from repro.obs.trace import NULL_TRACER
 from repro.engine.options import DEFAULT_OPTIONS, EngineOptions
 from repro.engine.planner import DataQuery, QueryPlan
-from repro.storage.backend import (IdentityBindings, ScanOrder, ScanSpec,
+from repro.storage.backend import (IdentityBindings, ScanSpec,
                                    StorageBackend, TemporalBounds)
 
 
 def annotate_path(name: str, spec: ScanSpec) -> str:
     """Append the spec's projection/order pushdowns to an access-path name.
 
-    The explain surface's rendering of the vectorized levers: which
-    columns the scan was asked to gather and whether a top-k limit was
-    pushed into it (``first``/``last`` = ascending/descending time
-    order).
+    The explain surface's rendering of which columns the scan was asked
+    to gather and whether a top-k limit was pushed into it
+    (``first``/``last`` = ascending/descending time order).
     """
     parts = [name]
     if spec.projection is not None:
@@ -132,17 +133,13 @@ class Scheduler:
     Works against any :class:`~repro.storage.backend.StorageBackend`; each
     pattern's fetch-and-filter goes through the backend's ``select`` so a
     batch-evaluating substrate can push the residual predicate into its
-    scan.  One :class:`~repro.engine.options.EngineOptions` value carries
-    every toggle — the scan-facing ones are lowered into the
-    :class:`~repro.storage.backend.ScanSpec` each scan receives.
-
-    With ``pushdown`` enabled (the default), propagated identity-binding
-    sets and temporal bounds travel *into* the backend inside the spec,
-    pruning candidates during the scan; the in-engine post-filters stay
-    as a correctness fallback for backends that ignore the hints.
-    Remaining patterns are also re-estimated under the current bindings
-    and bounds after each step, so pruning-power ordering reacts to
-    propagation.
+    scan.  Propagated identity-binding sets and temporal bounds travel
+    *into* the backend inside the
+    :class:`~repro.storage.backend.ScanSpec`, pruning candidates during
+    the scan; the in-engine post-filters stay as a correctness fallback
+    for backends that ignore the hints.  Remaining patterns are also
+    re-estimated under the current bindings and bounds after each step,
+    so pruning-power ordering reacts to propagation.
 
     Temporal bounds are *transitive*: a chain ``e1 before e2``, ``e2
     before e3`` narrows e3 the moment e1 executes, even though they share
@@ -152,11 +149,6 @@ class Scheduler:
     re-tightened against its partners' spans (an executed broad pattern
     shrinks retroactively once a later anchor pins the chain), so the
     bounds derived from it stop covering events that can no longer pair.
-    ``temporal_pushdown`` and ``bitmap_bindings`` (both subordinate to
-    ``pushdown``) let the ablation benchmark isolate the temporal-bounds
-    scan pushdown and the large-binding-set bitmap/bloom representation;
-    with either off, the exact post-filters carry the full restriction
-    and results are identical.
     """
 
     def __init__(self, store: StorageBackend,
@@ -165,27 +157,10 @@ class Scheduler:
         self._options = options
         self._prioritize = options.prioritize
         self._propagate = options.propagate
-        self._pushdown = options.pushdown
-        self._temporal = options.pushdown and options.temporal_pushdown
-        self._bitmap = options.pushdown and options.bitmap_bindings
-        self._histograms = options.histogram_estimates
-        self._projection = options.projection_pushdown
-        self._topk = options.topk_pushdown
         self._explain = options.explain
         self._verify = options.verify_plans
         self._tracer = options.tracer or NULL_TRACER
         self._trace_on = options.tracer is not None
-
-    def _spec(self, window: Window | None,
-              agentids: set[int] | None,
-              bindings: IdentityBindings | None = None,
-              bounds: TemporalBounds | None = None,
-              projection: frozenset[str] | None = None,
-              order: ScanOrder | None = None) -> ScanSpec:
-        return ScanSpec(window=window, agentids=agentids,
-                        bindings=bindings, bounds=bounds,
-                        histograms=self._histograms,
-                        projection=projection, order=order)
 
     def run(self, plan: QueryPlan) -> ScheduledMatches:
         """Fetch and filter matches for every pattern."""
@@ -194,19 +169,13 @@ class Scheduler:
 
         estimates = {
             dq.index: self._store.estimate(
-                dq.profile, self._spec(plan.window, _agents(dq)))
+                dq.profile, ScanSpec(window=plan.window,
+                                     agentids=_agents(dq)))
             for dq in plan.data_queries
         }
         ordered = list(plan.data_queries)
         if self._prioritize:
             ordered.sort(key=lambda dq: (estimates[dq.index], dq.index))
-
-        projections = plan.projections if self._projection else ()
-        # A pushed ScanOrder truncates at the backend; that is only sound
-        # when no post-filter can thin the survivors further (the planner
-        # already restricts it to single-pattern plans, where no bindings
-        # or bounds ever propagate — the guard below keeps it that way).
-        scan_order = plan.scan_order if self._topk else None
 
         # Binding state threaded through pattern executions.
         closure = plan.temporal_closure() if self._propagate else {}
@@ -221,14 +190,16 @@ class Scheduler:
                       if self._propagate else None)
             bindings = (self._bindings_for(dq, identity_sets)
                         if self._propagate else None)
-            spec = self._spec(plan.window, _agents(dq),
-                              bindings if self._pushdown else None,
-                              bounds if self._temporal else None,
-                              projection=(projections[dq.index]
-                                          if projections else None),
-                              order=(scan_order
-                                     if bindings is None and bounds is None
-                                     else None))
+            # A pushed ScanOrder truncates at the backend; that is only
+            # sound when no post-filter can thin the survivors further
+            # (the planner already restricts it to single-pattern plans,
+            # where nothing propagates — the guard keeps it that way).
+            spec = ScanSpec(window=plan.window, agentids=_agents(dq),
+                            bindings=bindings, bounds=bounds,
+                            projection=plan.projections[dq.index],
+                            order=(plan.scan_order
+                                   if bindings is None and bounds is None
+                                   else None))
             if self._verify:
                 # Soundness gate: re-derive what this spec may claim from
                 # the plan and the current propagation state, before the
@@ -248,8 +219,7 @@ class Scheduler:
                     survivors = [event for event in survivors
                                  if admits(event)]
                 if bounds is not None:
-                    # Same fallback for the temporal hint — and the entire
-                    # restriction when temporal pushdown is ablated off.
+                    # Same fallback for the temporal hint.
                     in_bounds = bounds.admits
                     survivors = [event for event in survivors
                                  if in_bounds(event.ts)]
@@ -301,14 +271,11 @@ class Scheduler:
         execution half (actual rows) comes from running with
         ``options.explain`` on.
         """
-        projections = plan.projections if self._projection else ()
-        scan_order = plan.scan_order if self._topk else None
         decisions = []
         for dq in plan.data_queries:
-            spec = self._spec(plan.window, _agents(dq),
-                              projection=(projections[dq.index]
-                                          if projections else None),
-                              order=scan_order)
+            spec = ScanSpec(window=plan.window, agentids=_agents(dq),
+                            projection=plan.projections[dq.index],
+                            order=plan.scan_order)
             # Diagnostic path: estimate and access_path may re-cost the
             # same scan (sqlite answers both with a COUNT); explain is
             # explicitly requested and never on the execution hot path.
@@ -334,28 +301,24 @@ class Scheduler:
         patterns sharing a variable the just-executed pattern bound — or
         reachable from it through the temporal closure — can have changed
         cost, so only those are re-estimated.  Only worth re-sorting when
-        at least two patterns remain, and only meaningful when the
-        backend sees the hints (``pushdown``).
+        at least two patterns remain.
         """
         remaining = ordered[position + 1:]
-        if not (self._prioritize and self._pushdown and len(remaining) > 1):
+        if not (self._prioritize and len(remaining) > 1):
             return
         updated_vars = {executed.subject_var, executed.object_var}
         executed_var = executed.event_var
         changed = False
         for dq in remaining:
-            temporally_linked = (
-                self._temporal
-                and ((executed_var, dq.event_var) in closure
-                     or (dq.event_var, executed_var) in closure))
+            temporally_linked = ((executed_var, dq.event_var) in closure
+                                 or (dq.event_var, executed_var) in closure)
             if updated_vars.isdisjoint(dq.variables) and not temporally_linked:
                 continue
             estimates[dq.index] = self._store.estimate(
-                dq.profile, self._spec(
-                    window, _agents(dq),
-                    self._bindings_for(dq, identity_sets),
-                    (self._bounds_for(dq, closure, ts_bounds)
-                     if self._temporal else None)))
+                dq.profile, ScanSpec(
+                    window=window, agentids=_agents(dq),
+                    bindings=self._bindings_for(dq, identity_sets),
+                    bounds=self._bounds_for(dq, closure, ts_bounds)))
             changed = True
         if not changed:
             return
@@ -464,7 +427,8 @@ class Scheduler:
             if not changed:
                 break
 
-    def _bindings_for(self, dq: DataQuery,
+    @staticmethod
+    def _bindings_for(dq: DataQuery,
                       identity_sets: dict[str, set[tuple]],
                       ) -> IdentityBindings | None:
         """Pushdown hint for one pattern from the propagated binding state."""
@@ -474,8 +438,7 @@ class Scheduler:
             return None
         return IdentityBindings(
             subjects=frozenset(subjects) if subjects is not None else None,
-            objects=frozenset(objects) if objects is not None else None,
-            compact=self._bitmap)
+            objects=frozenset(objects) if objects is not None else None)
 
     def _update_bindings(self, dq: DataQuery, events: list[Event],
                          identity_sets: dict[str, set[tuple]],

@@ -17,16 +17,17 @@ general engine:
   survivor");
 * every return item and sort key compiles to a column getter (an
   unresolvable reference falls back so semantic errors surface in the
-  one place that owns them);
+  one place that owns them; each such fall-back is counted as
+  ``engine.fallback[reason=uncompilable_getter]``);
 * no ``row_limit`` cap (that contract belongs to the joiner).
 
 Ordering, ``distinct``, and ``top`` replicate
 :func:`repro.engine.executor.project_bindings` exactly: rows order by
 the composite (sort keys, ``(ts, id)``) comparator, ``distinct``
 deduplicates after ordering, and a non-distinct ``top`` uses a bounded
-heap.  With ``projection_pushdown`` the scan gathers only the consumed
-columns; with ``topk_pushdown`` the pushed :class:`ScanOrder` lets the
-backend stop materializing past the first/last N survivors.
+heap.  The scan gathers only the consumed columns, and a pushed
+:class:`ScanOrder` lets the backend stop materializing past the
+first/last N survivors.
 """
 
 from __future__ import annotations
@@ -35,8 +36,10 @@ import heapq
 from operator import itemgetter
 from typing import Callable, Sequence
 
+from repro.errors import DataModelError
 from repro.lang.ast import MultieventQuery, VarRef
 from repro.obs.clock import monotonic
+from repro.obs.metrics import REGISTRY
 from repro.obs.trace import NULL_TRACER
 from repro.model.entities import DEFAULT_ATTRIBUTE, canonical_attribute
 from repro.model.events import canonical_event_attribute
@@ -52,6 +55,20 @@ from repro.storage.backend import ColumnBatch, ScanSpec, StorageBackend
 __all__ = ["execute_vectorized"]
 
 ColumnGetter = Callable[[ColumnBatch], Sequence]
+
+#: Event attribute -> batch column producer.  An attribute missing here
+#: has no column, so a query reading it takes the row engine.
+_EVENT_COLUMNS: dict[str, ColumnGetter] = {
+    "id": lambda batch: batch.ids,
+    "ts": lambda batch: batch.ts,
+    "operation": lambda batch: batch.operations(),
+    "amount": lambda batch: batch.amounts,
+    "failcode": lambda batch: batch.failcodes,
+    "agentid": lambda batch: [batch.agentid] * len(batch),
+}
+
+_UNCOMPILABLE = REGISTRY.counter(
+    "engine.fallback[reason=uncompilable_getter]")
 
 
 def execute_vectorized(store: StorageBackend, plan: QueryPlan,
@@ -74,19 +91,15 @@ def execute_vectorized(store: StorageBackend, plan: QueryPlan,
                       for item in query.return_items]
     sort_getters = [(_column_getter(key.expr, dq, plan), key.descending)
                     for key in query.sort_by]
-    if any(getter is None for getter in return_getters):
-        return None
-    if any(getter is None for getter, _descending in sort_getters):
+    if (any(getter is None for getter in return_getters)
+            or any(getter is None for getter, _descending in sort_getters)):
+        _UNCOMPILABLE.inc()
         return None
 
     started = monotonic()
     tracer = options.tracer or NULL_TRACER
-    spec = ScanSpec(
-        window=plan.window, agentids=dq.agentids,
-        histograms=options.histogram_estimates,
-        projection=(plan.projections[0] if options.projection_pushdown
-                    else None),
-        order=(plan.scan_order if options.topk_pushdown else None))
+    spec = ScanSpec(window=plan.window, agentids=dq.agentids,
+                    projection=plan.projections[0], order=plan.scan_order)
     if options.verify_plans:
         # Same soundness gate as the scheduler's, with the propagation
         # state this path never has (single pattern, nothing propagates).
@@ -195,21 +208,9 @@ def _column_getter(expr: object, dq: DataQuery,
     if variable == dq.event_var:
         try:
             attr = canonical_event_attribute(attribute or "id")
-        except Exception:
+        except DataModelError:
             return None
-        if attr == "id":
-            return lambda batch: batch.ids
-        if attr == "ts":
-            return lambda batch: batch.ts
-        if attr == "operation":
-            return lambda batch: batch.operations()
-        if attr == "amount":
-            return lambda batch: batch.amounts
-        if attr == "failcode":
-            return lambda batch: batch.failcodes
-        if attr == "agentid":
-            return lambda batch: [batch.agentid] * len(batch)
-        return None
+        return _EVENT_COLUMNS.get(attr)
     if variable == dq.object_var:
         side = "objects"
     elif variable == dq.subject_var:
@@ -224,7 +225,7 @@ def _column_getter(expr: object, dq: DataQuery,
     else:
         try:
             attr = canonical_attribute(entity_type, attribute)
-        except Exception:
+        except DataModelError:
             return None
 
     def column(batch: ColumnBatch) -> list:

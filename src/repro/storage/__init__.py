@@ -8,8 +8,8 @@ implementations, with ``sqlite`` provided by
 lazily through the registry to keep this package import-light.
 """
 
-from repro.storage.backend import (AccessPathInfo, Bitmap, BloomedSet,
-                                   IdentityBindings, ScanSpec,
+from repro.storage.backend import (AccessPathInfo, IdentityBindings,
+                                   ScanSpec,
                                    StorageBackend, TemporalBounds,
                                    available_backends, create_backend,
                                    register_backend, select_via_candidates)
@@ -30,8 +30,8 @@ from repro.storage.store import EventStore
 from repro.storage.wal import WalRecord, WriteAheadLog
 
 __all__ = [
-    "AccessPathInfo", "Bitmap", "BloomedSet", "IdentityBindings",
-    "ScanSpec", "StorageBackend", "TemporalBounds",
+    "AccessPathInfo", "IdentityBindings", "ScanSpec", "StorageBackend",
+    "TemporalBounds",
     "available_backends", "create_backend",
     "register_backend", "select_via_candidates",
     "EntityInterner", "EventMerger", "ReplayDeduper",

@@ -115,90 +115,6 @@ class TemporalBounds:
         return Window(start, end)
 
 
-#: Binding sets at or below this size keep plain set probes; larger sets
-#: are compacted into a :class:`Bitmap` (columnar batch loop) or answered
-#: by posting-key intersection (row store).  Per-element probing a huge
-#: set inside the hot loop pays a hash per row; the dense representation
-#: pays one O(vocabulary) build instead.
-BITMAP_THRESHOLD = 256
-
-#: Vocabulary-to-set ratio above which a :class:`Bitmap` stops paying:
-#: its O(vocabulary) bytearray dwarfs the binding set it encodes, so the
-#: build (allocate + zero the whole vocabulary) costs more than the scan
-#: saves.  Such sets get the :class:`BloomedSet` tier instead, whose
-#: footprint scales with the *set*, not the vocabulary.
-BLOOM_VOCAB_RATIO = 16
-
-#: Fibonacci-hashing multiplier for the bloom probe (odd, so the map is a
-#: permutation of the table's index space).
-_BLOOM_MULTIPLIER = 0x9E3779B1
-
-
-class BloomedSet:
-    """Bloom pre-filter in front of an exact code set.
-
-    The compaction tier for binding sets too large to bitmap against a
-    huge vocabulary: a power-of-two flag table sized to the *set* (8
-    slots per member) answers most probes with one multiply-and-index,
-    and only the ~12% false-positive survivors pay the exact hash probe
-    into the backing set.  Membership is exact (the set confirms), so
-    ``select`` results never change — only the per-row probe cost and
-    the build footprint do.
-    """
-
-    __slots__ = ("flags", "mask", "codes")
-
-    def __init__(self, codes: Iterable[int]) -> None:
-        self.codes = frozenset(codes)
-        target = max(64, len(self.codes) * 8)
-        bits = 1
-        while bits < target:
-            bits <<= 1
-        self.mask = bits - 1
-        flags = bytearray(bits)
-        mask = self.mask
-        for code in self.codes:
-            flags[(code * _BLOOM_MULTIPLIER) & mask] = 1
-        self.flags = flags
-
-    def __contains__(self, code: int) -> bool:
-        return (bool(self.flags[(code * _BLOOM_MULTIPLIER) & self.mask])
-                and code in self.codes)
-
-    def __len__(self) -> int:
-        return len(self.codes)
-
-
-class Bitmap:
-    """Dense membership flags over dictionary codes.
-
-    The compact representation large :class:`IdentityBindings` sets (and
-    broad LIKE-derived code sets) collapse into: one flag per code of the
-    backing vocabulary, so the columnar batch loop tests membership with
-    a single index (``flags[code]``) instead of hashing into a large set.
-    A byte per code trades 8x the space of a packed bitset for the
-    fastest pure-Python probe.
-    """
-
-    __slots__ = ("flags", "size")
-
-    def __init__(self, codes: Iterable[int], size: int) -> None:
-        flags = bytearray(size)
-        count = 0
-        for code in codes:
-            if not flags[code]:
-                flags[code] = 1
-                count += 1
-        self.flags = flags
-        self.size = count
-
-    def __contains__(self, code: int) -> bool:
-        return bool(self.flags[code])
-
-    def __len__(self) -> int:
-        return self.size
-
-
 @dataclass(frozen=True, slots=True)
 class IdentityBindings:
     """Propagated entity-identity restrictions for one data query.
@@ -214,17 +130,10 @@ class IdentityBindings:
     ``None`` on a side means unrestricted; an *empty* set means the
     propagated variable has no admissible identity, so no event can match
     and backends short-circuit without touching a partition.
-
-    ``compact`` permits backends to swap per-element set probes for the
-    dense representations above :data:`BITMAP_THRESHOLD` — dictionary-code
-    :class:`Bitmap` membership in the columnar batch loop, posting-key
-    intersection in the row store.  The ablation benchmark's ``no_bitmap``
-    configuration turns it off; results are identical either way.
     """
 
     subjects: frozenset[tuple] | None = None
     objects: frozenset[tuple] | None = None
-    compact: bool = True
 
     def __bool__(self) -> bool:
         return self.subjects is not None or self.objects is not None
@@ -318,9 +227,6 @@ class ScanSpec:
     * ``bounds`` — propagated per-side-inclusive timestamp bounds;
     * ``limit`` — optional cap on returned survivors (projection/limit
       pushdown for callers that only need the first N);
-    * ``histograms`` — whether estimates may use the per-partition
-      equi-depth timestamp histograms (off = uniform-time scaling, the
-      ablation's ``no_histogram`` lever);
     * ``projection`` — the attribute columns the caller will actually
       consume (``operation``/``subject``/``object``/``amount``/
       ``failcode``/``agentid``; ``ts`` and ``id`` are always implied).
@@ -345,7 +251,6 @@ class ScanSpec:
     bindings: IdentityBindings | None = None
     bounds: TemporalBounds | None = None
     limit: int | None = None
-    histograms: bool = True
     projection: frozenset[str] | None = None
     order: ScanOrder | None = None
 

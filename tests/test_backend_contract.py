@@ -585,19 +585,6 @@ class TestHistogramEstimates:
                                                 spec)
                     assert survivors == []
 
-    def test_uniform_fallback_still_available(self, backend_name):
-        store = self._skewed_store(backend_name)
-        uniform = store.estimate(self.BULK,
-                                 ScanSpec(window=self.WINDOW,
-                                          histograms=False))
-        aware = store.estimate(self.BULK, ScanSpec(window=self.WINDOW))
-        # sqlite estimates are exact counts either way; in-memory stores
-        # must show the histogram beating the uniform assumption.
-        if store.backend_name == "sqlite":
-            assert aware == uniform == 0
-        else:
-            assert aware < uniform
-
 
 class TestEstimateParity:
     """Satellite lock-in: all backends honor agentids and window bounds
@@ -739,11 +726,11 @@ class TestTemporalBoundary:
         return session
 
     @pytest.mark.parametrize("propagate", [True, False])
-    @pytest.mark.parametrize("pushdown", [True, False])
+    @pytest.mark.parametrize("prioritize", [True, False])
     def test_within_edge_event_survives(self, backend_name, propagate,
-                                        pushdown):
+                                        prioritize):
         session = self._session(backend_name)
-        options = EngineOptions(propagate=propagate, pushdown=pushdown)
+        options = EngineOptions(propagate=propagate, prioritize=prioritize)
         assert session.query(self.AIQL, options).rows == [("/x",)]
 
     def test_strict_before_bound_stays_exclusive(self, backend_name):
@@ -941,20 +928,12 @@ class TestFullEngineAgreement:
         assert result.rows == [QUERY1_ROW]
 
     def test_query1_pushdown_matches_post_filter(self, backend_name):
-        """Binding pushdown vs survivor post-filtering: identical rows."""
+        """Pushed bindings and bounds vs a run that propagates (and so
+        pushes) nothing: identical rows."""
         session = self._attack_session(backend_name)
-        pushed = session.query(QUERY1, EngineOptions(pushdown=True)).rows
-        filtered = session.query(QUERY1, EngineOptions(pushdown=False)).rows
-        assert pushed == filtered == [QUERY1_ROW]
-
-    def test_query1_histogram_toggle_is_result_invariant(self, backend_name):
-        """Histogram estimates may reorder scans, never change rows."""
-        session = self._attack_session(backend_name)
-        aware = session.query(
-            QUERY1, EngineOptions(histogram_estimates=True)).rows
-        uniform = session.query(
-            QUERY1, EngineOptions(histogram_estimates=False)).rows
-        assert aware == uniform == [QUERY1_ROW]
+        pushed = session.query(QUERY1).rows
+        unpushed = session.query(QUERY1, EngineOptions(propagate=False)).rows
+        assert pushed == unpushed == [QUERY1_ROW]
 
     def test_anomaly_query_agrees_with_row(self, backend_name):
         aiql = ('window = 1 min, step = 1 min\n'

@@ -131,114 +131,43 @@ class TestRowFilterCodegen:
         fn = _compile_row_filter([], [])
         assert fn(0, 3, [], [], [], [], [], [], [], []) == [0, 1, 2]
 
-    def test_bitmap_dimension_compiles_to_flag_lookup(self):
-        from repro.storage.backend import Bitmap
-        fn = _compile_row_filter([("subjects", Bitmap({0, 2}, 4))], [])
-        subjects = [0, 1, 2, 3]
-        rows = fn(0, 4, [0] * 4, [0.0] * 4, [0] * 4, [0] * 4,
-                  subjects, [0] * 4, [0] * 4, [0] * 4)
-        assert rows == [0, 2]
 
+class TestLargeBindingSets:
+    """Binding sets of any size stay plain code sets in the fused loop
+    and produce exactly the post-filter's survivors."""
 
-class TestBitmapBindings:
-    """Binding sets above BITMAP_THRESHOLD compact into a dense Bitmap in
-    the fused loop — and produce exactly the set-probe results."""
-
-    def _wide_store(self) -> ColumnarEventStore:
+    def _wide_store(self, count: int) -> ColumnarEventStore:
         store = ColumnarEventStore(bucket_seconds=10_000)
-        for index in range(400):
+        for index in range(count):
             store.record(float(index), 1, "write",
                          ProcessEntity(1, index + 10, f"proc{index}.exe"),
                          FileEntity(1, f"/data/{index}"))
         return store
 
     def test_large_binding_set_matches_post_filter(self):
-        from repro.storage.backend import (BITMAP_THRESHOLD,
-                                           IdentityBindings)
-        store = self._wide_store()
+        from repro.storage.backend import IdentityBindings
+        store = self._wide_store(400)
         identities = frozenset(
             ProcessEntity(1, index + 10, f"proc{index}.exe").identity
             for index in range(300))
-        assert len(identities) > BITMAP_THRESHOLD
         profile = PatternProfile(event_type="file",
                                  operations=frozenset({"write"}))
         dq = plan_multievent(parse(
             "proc p write file f as e1 return f")).data_queries[0]
-        for compact in (True, False):
-            bindings = IdentityBindings(subjects=identities,
-                                        compact=compact)
-            survivors, _fetched = store.select(
-                dq.profile, dq.compiled, ScanSpec(bindings=bindings))
-            assert len(survivors) == 300, compact
-            assert all(bindings.admits(e) for e in survivors), compact
-        assert store.estimate(profile, ScanSpec(
-            bindings=IdentityBindings(subjects=identities))) == 300
+        bindings = IdentityBindings(subjects=identities)
+        survivors, _fetched = store.select(
+            dq.profile, dq.compiled, ScanSpec(bindings=bindings))
+        assert len(survivors) == 300
+        assert all(bindings.admits(e) for e in survivors)
+        assert store.estimate(profile, ScanSpec(bindings=bindings)) == 300
 
-    def test_bitmap_class_membership(self):
-        from repro.storage.backend import Bitmap
-        bitmap = Bitmap({1, 5, 5, 9}, 12)
-        assert len(bitmap) == 3
-        assert 5 in bitmap and 9 in bitmap
-        assert 0 not in bitmap and 11 not in bitmap
-
-
-class TestBloomTier:
-    """Binding sets above BITMAP_THRESHOLD but sparse against a huge
-    vocabulary take the bloom tier: exact membership (the set confirms),
-    bounded footprint, identical scan results."""
-
-    def test_bloomed_set_membership_is_exact(self):
-        from repro.storage.backend import BloomedSet
-        bloomed = BloomedSet(range(0, 10_000, 7))
-        assert len(bloomed) == len(set(range(0, 10_000, 7)))
-        for code in (0, 7, 9996):
-            assert code in bloomed
-        for code in (1, 8, 9995, 123_456):
-            assert code not in bloomed
-        # The flag table is sized to the set, not any vocabulary.
-        assert len(bloomed.flags) < 16 * len(bloomed)
-
-    def test_compaction_picks_bloom_for_huge_vocabularies(self):
-        from repro.storage.backend import (BITMAP_THRESHOLD,
-                                           BLOOM_VOCAB_RATIO, Bitmap,
-                                           BloomedSet)
-        allowed = set(range(BITMAP_THRESHOLD + 1))
-        dense_vocab = len(allowed) * BLOOM_VOCAB_RATIO
-        assert isinstance(
-            ColumnarEventStore._compacted(allowed, dense_vocab, True),
-            Bitmap)
-        assert isinstance(
-            ColumnarEventStore._compacted(allowed, dense_vocab + 1, True),
-            BloomedSet)
-        assert ColumnarEventStore._compacted(allowed, dense_vocab + 1,
-                                             False) is allowed
-
-    def test_bloom_row_filter_matches_set_probe(self):
-        from repro.storage.backend import BloomedSet
-        allowed = set(range(0, 400, 3))
-        plain = _compile_row_filter([("subjects", allowed)], [])
-        bloomed = _compile_row_filter([("subjects", BloomedSet(allowed))],
-                                      [])
-        subjects = list(range(400))
-        args = ([0] * 400, [0.0] * 400, [0] * 400, [0] * 400,
-                subjects, [0] * 400, [0] * 400, [0] * 400)
-        assert plain(0, 400, *args) == bloomed(0, 400, *args)
-
-    def test_bloom_tier_scan_matches_post_filter(self, monkeypatch):
-        """End to end on a columnar store: with thresholds forced down so
-        the bloom tier engages, select results equal the exact
-        post-filter."""
-        import repro.storage.backend as backend_module
+    def test_sparse_binding_set_matches_post_filter(self):
+        """A binding set far smaller than the entity vocabulary: select
+        results equal the exact post-filter of an unrestricted scan."""
         from repro.storage.backend import IdentityBindings
-        monkeypatch.setattr(backend_module, "BITMAP_THRESHOLD", 8)
-        monkeypatch.setattr(backend_module, "BLOOM_VOCAB_RATIO", 2)
-        store = ColumnarEventStore(bucket_seconds=10_000)
-        for index in range(200):
-            store.record(float(index), 1, "write",
-                         ProcessEntity(1, index + 10, f"p{index}.exe"),
-                         FileEntity(1, f"/data/{index}"))
+        store = self._wide_store(200)
         identities = frozenset(
-            ProcessEntity(1, index + 10, f"p{index}.exe").identity
+            ProcessEntity(1, index + 10, f"proc{index}.exe").identity
             for index in range(0, 40, 2))
         dq = plan_multievent(parse(
             "proc p write file f as e1 return f")).data_queries[0]

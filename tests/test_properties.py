@@ -127,9 +127,7 @@ def test_optimizations_are_result_invariant(specs, source):
     reference = Counter(execute(store, query).rows)
     for options in (EngineOptions(prioritize=False),
                     EngineOptions(propagate=False),
-                    EngineOptions(pushdown=False),
-                    EngineOptions(prioritize=False, propagate=False,
-                                  pushdown=False)):
+                    EngineOptions(prioritize=False, propagate=False)):
         assert Counter(execute(store, query, options).rows) == reference, \
             f"option {options} changed results for:\n{source}"
 

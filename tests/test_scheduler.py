@@ -149,15 +149,20 @@ class TestTransitiveNarrowing:
         assert [e.ts for e in e3_matches] == [BASE_TS + 1500]
 
     def test_chain_narrowing_never_changes_results(self):
+        from repro.engine.joiner import join
         store = self._chain_store()
         plan = plan_multievent(parse(self.CHAIN))
-        for pushdown in (True, False):
-            for temporal_pushdown in (True, False):
-                scheduled = Scheduler(store, EngineOptions(
-                    pushdown=pushdown,
-                    temporal_pushdown=temporal_pushdown)).run(plan)
-                assert ([e.ts for e in scheduled.events[2]]
-                        == [BASE_TS + 1500]), (pushdown, temporal_pushdown)
+        unpropagated = Scheduler(
+            store, EngineOptions(propagate=False)).run(plan)
+        reference = sorted(binding["e3"].ts
+                           for binding in join(plan, unpropagated))
+        assert reference == [BASE_TS + 1500]
+        for options in (EngineOptions(), EngineOptions(prioritize=False)):
+            scheduled = Scheduler(store, options).run(plan)
+            assert ([e.ts for e in scheduled.events[2]]
+                    == [BASE_TS + 1500]), options
+            assert sorted(binding["e3"].ts for binding
+                          in join(plan, scheduled)) == reference, options
 
     def test_within_delays_add_along_the_chain(self):
         """``e1 before e2 within 10`` + ``e2 before e3 within 10`` bounds
@@ -270,8 +275,7 @@ class TestIntervalNarrowing:
         plan = plan_multievent(parse(self.WITHIN_CHAIN))
         reference = None
         for options in (EngineOptions(),
-                        EngineOptions(pushdown=False),
-                        EngineOptions(temporal_pushdown=False),
+                        EngineOptions(prioritize=False),
                         EngineOptions(propagate=False)):
             scheduled = Scheduler(store, options).run(plan)
             from repro.engine.joiner import join
@@ -285,21 +289,34 @@ class TestIntervalNarrowing:
         assert reference == ["/secret"] * 3
 
 
+def _joined_ids(plan, scheduled) -> list[tuple]:
+    """Joined bindings as sorted per-pattern event-id tuples."""
+    from repro.engine.joiner import join
+    return sorted(tuple(binding[dq.event_var].id
+                        for dq in plan.data_queries)
+                  for binding in join(plan, scheduled))
+
+
 class TestPushdown:
     def test_pushdown_matches_post_filter(self, store):
+        """Pushed bindings/bounds join to exactly the rows of a run that
+        propagates (and so pushes) nothing; each pushed pattern's matches
+        are a subset of its unrestricted matches."""
         plan = plan_multievent(parse(QUERY))
-        pushed = Scheduler(store, EngineOptions(pushdown=True)).run(plan)
-        filtered = Scheduler(store, EngineOptions(pushdown=False)).run(plan)
+        pushed = Scheduler(store).run(plan)
+        unpushed = Scheduler(store, EngineOptions(propagate=False)).run(plan)
+        assert _joined_ids(plan, pushed) == _joined_ids(plan, unpushed)
+        assert _joined_ids(plan, pushed)
         for dq in plan.data_queries:
             assert ({e.id for e in pushed.events[dq.index]}
-                    == {e.id for e in filtered.events[dq.index]})
+                    <= {e.id for e in unpushed.events[dq.index]})
 
     def test_pushdown_shrinks_fetch(self, store):
-        """With pushdown the backend never fetches the 301 writes that the
-        post-filter variant materializes before discarding."""
+        """With pushdown the backend never fetches the 301 writes that an
+        unpropagated run materializes."""
         plan = plan_multievent(parse(QUERY))
-        pushed = Scheduler(store, EngineOptions(pushdown=True)).run(plan)
-        filtered = Scheduler(store, EngineOptions(pushdown=False)).run(plan)
+        pushed = Scheduler(store).run(plan)
+        filtered = Scheduler(store, EngineOptions(propagate=False)).run(plan)
         fetched_pushed = {t.event_var: t.fetched
                           for t in pushed.report.patterns}
         fetched_filtered = {t.event_var: t.fetched
@@ -332,12 +349,10 @@ class TestPushdown:
         # /secret, e3 collapses to 1 and must jump ahead of e2.
         adaptive = Scheduler(store).run(plan)
         assert adaptive.report.order == ["e1", "e3", "e2"]
-        static = Scheduler(store, EngineOptions(pushdown=False)).run(plan)
+        static = Scheduler(store, EngineOptions(propagate=False)).run(plan)
         assert static.report.order == ["e1", "e2", "e3"]
-        # Either order produces the same per-pattern matches.
-        for dq in plan.data_queries:
-            assert ({e.id for e in adaptive.events[dq.index]}
-                    == {e.id for e in static.events[dq.index]})
+        # Either order joins to the same rows.
+        assert _joined_ids(plan, adaptive) == _joined_ids(plan, static)
 
 
 class TestReport:

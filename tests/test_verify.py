@@ -38,20 +38,16 @@ BACKENDS = tuple(
     if name) or ALL_BACKENDS
 
 #: Each lever combination exercises a different spec-derivation path in
-#: the scheduler (post-filter fallbacks, vectorized fast path, no
-#: propagation state, plan-order patterns ...); the verifier must accept
-#: the emitted specs under all of them.
+#: the scheduler (full propagation state, no propagation state,
+#: plan-order patterns); single-pattern queries take the vectorized path
+#: on columnar and the scheduler elsewhere.  The verifier must accept the
+#: emitted specs under all of them.
 LEVERS = {
     "default": EngineOptions(verify_plans=True),
-    "no-pushdown": EngineOptions(verify_plans=True, pushdown=False),
-    "no-temporal": EngineOptions(verify_plans=True, temporal_pushdown=False),
-    "no-bitmap": EngineOptions(verify_plans=True, bitmap_bindings=False),
-    "no-vectorized": EngineOptions(verify_plans=True, vectorized=False),
-    "no-projection": EngineOptions(verify_plans=True,
-                                   projection_pushdown=False),
-    "no-topk": EngineOptions(verify_plans=True, topk_pushdown=False),
     "no-propagate": EngineOptions(verify_plans=True, propagate=False),
     "no-prioritize": EngineOptions(verify_plans=True, prioritize=False),
+    "none": EngineOptions(verify_plans=True, prioritize=False,
+                          propagate=False),
 }
 
 
@@ -106,9 +102,7 @@ class TestVerifierIsWired:
             return real(plan, dq, spec, **state)
         monkeypatch.setattr(verify_mod, "verify_spec", spy)
         from tests.conftest import QUERY1
-        exfil_session.query(
-            QUERY1, options=EngineOptions(verify_plans=True,
-                                          vectorized=False))
+        exfil_session.query(QUERY1, options=EngineOptions(verify_plans=True))
         assert len(calls) >= 4  # one spec per executed pattern, at least
 
     def test_vectorized_path_calls_verifier(self, monkeypatch):
