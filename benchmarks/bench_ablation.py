@@ -5,8 +5,8 @@ bindings between data queries.  Each configuration runs the full
 Figure 4 query set so the benchmark table shows each optimization's
 contribution.  DESIGN.md calls these out as the design choices under
 test.  The scan optimizations that travel with propagation (binding and
-temporal pushdown, histogram estimates, vectorized execution, top-k
-pushdown) are always on; ``tests/test_scan_mechanisms.py`` checks that
+temporal pushdown, histogram estimates, top-k pushdown) are always
+on; ``tests/test_scan_mechanisms.py`` checks that
 each one engages.
 
 Every query runs serially on the calling thread, so timings do not

@@ -6,9 +6,9 @@ for groups in long empty streaks) is what keeps whole-day windows at
 10-second steps tractable; the sweep shows cost growth with step
 granularity and with the number of active groups.
 
-Like the figure harnesses, the sweep runs against the backend selected by
-``--backend {row,columnar,sqlite}`` (default ``row``), so the anomaly
-engine's cost model can be compared per storage substrate.
+Like the figure harnesses, the sweep runs against the backend selected
+by ``--backend {row,sqlite,sharded(row),...}`` (default ``row``), so the
+anomaly engine's cost model can be compared per storage substrate.
 """
 
 from __future__ import annotations

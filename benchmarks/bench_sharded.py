@@ -7,9 +7,8 @@ every file read/write survives the indexes, so the residual ``amount``
 filter must touch each of the ~20% of events that are candidates — that
 per-candidate work is what sharding divides.  The residual is *highly
 selective* (a handful of survivors), which keeps the gather to a few
-pickled events; transfer-heavy shapes (thousands of survivors, wide
-batches) are the projection-aware gather's job and are covered
-row-exactly by the contract suite and ``tests/test_sharded.py``.
+pickled events; transfer-heavy shapes (thousands of survivors) are
+covered row-exactly by the contract suite and ``tests/test_sharded.py``.
 
 Two checks:
 

@@ -12,13 +12,13 @@ isolates one of them:
   and a scan-heavy data query.
 
 Every benchmark runs against the storage backend chosen by the
-``--backend {row,columnar,sqlite}`` selector (default ``row``), e.g.::
+``--backend {row,sqlite,sharded(row),...}`` selector (default ``row``),
+e.g.::
 
-    PYTHONPATH=src python -m pytest benchmarks/bench_storage.py --backend columnar
+    PYTHONPATH=src python -m pytest benchmarks/bench_storage.py --backend sqlite
 
-so the same workload compares substrates directly.  The final test pits
-the columnar store's batch scan against the row store on the scan-heavy
-pattern regardless of the selector.
+so the same workload compares substrates directly.  The final test
+guards the metrics overhead on the row store's scan-heavy select.
 """
 
 from __future__ import annotations
@@ -30,7 +30,6 @@ from repro.engine.planner import DataQuery, plan_multievent
 from repro.lang.parser import parse
 from repro.model.timeutil import Window
 from repro.storage.backend import ScanOrder, ScanSpec, create_backend
-from repro.storage.columnar import ColumnarEventStore
 from repro.storage.ingest import IngestPipeline, ingest_chunked
 from repro.storage.stats import PatternProfile
 from repro.storage.store import EventStore
@@ -216,34 +215,6 @@ def test_unpruned_scan_then_filter(benchmark, loaded_store):
     benchmark(run)
 
 
-def test_columnar_beats_row_on_scan_heavy(event_stream):
-    """Acceptance check: batch predicate evaluation wins where indexes
-    cannot prune.
-
-    Timed directly (best of several warm runs, like pytest-benchmark's
-    steady state) so the comparison holds whatever ``--backend`` selected.
-    The two backends must also return identical matches.
-    """
-    row = EventStore()
-    row.ingest(event_stream)
-    columnar = ColumnarEventStore()
-    columnar.ingest(event_stream)
-    dq = _single_pattern(SCAN_HEAVY_AIQL)
-
-    def scan(store) -> set[int]:
-        events, _fetched = store.select(dq.profile, dq.compiled)
-        return {event.id for event in events}
-
-    row_time, row_ids = benchlib.best_of(lambda: scan(row), rounds=7)
-    columnar_time, columnar_ids = benchlib.best_of(lambda: scan(columnar),
-                                                   rounds=7)
-    assert columnar_ids == row_ids and row_ids
-    print(f"\nscan-heavy select: row {row_time * 1000:.2f} ms, "
-          f"columnar {columnar_time * 1000:.2f} ms "
-          f"({row_time / columnar_time:.1f}x)")
-    assert columnar_time < row_time
-
-
 def test_metrics_overhead_within_budget(event_stream):
     """Guard: metrics-on / tracing-off execution stays within 5% of a
     metrics-off baseline on the scan-heavy select.
@@ -257,12 +228,12 @@ def test_metrics_overhead_within_budget(event_stream):
     """
     from repro.obs.metrics import REGISTRY
 
-    columnar = ColumnarEventStore()
-    columnar.ingest(event_stream)
+    store = EventStore()
+    store.ingest(event_stream)
     dq = _single_pattern(SCAN_HEAVY_AIQL)
 
     def scan() -> int:
-        events, _fetched = columnar.select(dq.profile, dq.compiled)
+        events, _fetched = store.select(dq.profile, dq.compiled)
         return len(events)
 
     rounds = 9

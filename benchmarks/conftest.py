@@ -8,9 +8,9 @@ Scale knobs (environment variables):
   slow, which is the point of that figure)
 
 The Figure-4/5 environments build their optimized-engine store on the
-backend selected by ``--backend {row,columnar,sqlite}`` (default ``row``),
-so the paper figures can be replicated per storage substrate; the SQL and
-graph baselines load the same event stream regardless.
+backend selected by ``--backend {row,sqlite,sharded(row),...}`` (default
+``row``), so the paper figures can be replicated per storage substrate;
+the SQL and graph baselines load the same event stream regardless.
 
 Absolute times will not match the paper's 150-host deployment; the harness
 reports the same *series* (per-query log10 execution time, totals, speedup

@@ -477,15 +477,10 @@ class SqliteEventStore:
     @staticmethod
     def _profile_clauses(profile: PatternProfile,
                          ) -> tuple[list[str], list[object]]:
-        clauses: list[str] = []
-        params: list[object] = []
-        if profile.event_type is not None:
-            clauses.append("etype = ?")
-            params.append(profile.event_type)
-        if profile.operations:
-            marks = ", ".join("?" for _ in profile.operations)
-            clauses.append(f"op IN ({marks})")
-            params.extend(sorted(profile.operations))
+        marks = ", ".join("?" for _ in profile.operations)
+        clauses = ["etype = ?", f"op IN ({marks})"]
+        params: list[object] = [profile.event_type,
+                                *sorted(profile.operations)]
         # LIKE goes through the registered aiql_like() function, not SQL
         # LIKE: SQL LIKE is only ASCII case-insensitive while AIQL LIKE
         # folds full Unicode (on the data side too), and a narrower
@@ -496,13 +491,12 @@ class SqliteEventStore:
         elif profile.subject_like is not None:
             clauses.append("aiql_like(?, subject_name)")
             params.append(profile.subject_like)
-        if profile.event_type is not None:
-            if profile.object_exact is not None:
-                clauses.append("object_value = ?")
-                params.append(profile.object_exact)
-            elif profile.object_like is not None:
-                clauses.append("aiql_like(?, object_value)")
-                params.append(profile.object_like)
+        if profile.object_exact is not None:
+            clauses.append("object_value = ?")
+            params.append(profile.object_exact)
+        elif profile.object_like is not None:
+            clauses.append("aiql_like(?, object_value)")
+            params.append(profile.object_like)
         return clauses, params
 
     #: Combined host-parameter budget for the binding ``IN (...)`` lists
@@ -696,17 +690,15 @@ class SqliteEventStore:
             tags.append("ts-bounds")
         if spec.agentids is not None:
             tags.append("agent")
-        if profile.event_type is not None or profile.operations:
-            tags.append("etype+op")
+        tags.append("etype+op")
         if profile.subject_exact is not None:
             tags.append("subject")
         elif profile.subject_like is not None:
             tags.append("subject-like")
-        if profile.event_type is not None:
-            if profile.object_exact is not None:
-                tags.append("object")
-            elif profile.object_like is not None:
-                tags.append("object-like")
+        if profile.object_exact is not None:
+            tags.append("object")
+        elif profile.object_like is not None:
+            tags.append("object-like")
         bindings = spec.bindings
         if bindings is not None and bindings:
             _clauses, _params, dropped = self._binding_clauses(bindings)
@@ -717,7 +709,7 @@ class SqliteEventStore:
             if (bindings.objects is not None
                     and "object_key" not in dropped_columns):
                 tags.append("object-key")
-        name = f"sql-index({','.join(tags)})" if tags else "sql-scan"
+        name = f"sql-index({','.join(tags)})"
         rows = self.estimate(profile, spec)
         return AccessPathInfo(name=name, rows=rows,
                               considered=(("sql-scan", len(self)),
@@ -781,8 +773,8 @@ class SqliteEventStore:
     @property
     def partition_count(self) -> int:
         # CAST truncates toward zero; the correction term makes it floor
-        # division so negative timestamps bucket exactly like the row and
-        # columnar hypertables (int(ts // bucket)).
+        # division so negative timestamps bucket exactly like the row
+        # store's hypertable (int(ts // bucket)).
         bucket = ("CAST(ts / :b AS INTEGER) "
                   "- (ts / :b < CAST(ts / :b AS INTEGER))")
         rows = self._fetch(

@@ -6,7 +6,7 @@ issue AIQL queries (all three classes), inspect plans, and check syntax.
 
 >>> from repro import AiqlSession
 >>> session = AiqlSession()                  # row store by default
->>> session = AiqlSession(backend="columnar")  # batch-scanning store
+>>> session = AiqlSession(backend="sqlite")   # indexed SQLite table
 >>> # ... ingest events (see repro.telemetry) ...
 >>> result = session.query('proc p["%cmd.exe"] start proc c as e1 return c')
 """

@@ -89,15 +89,6 @@ def _execute_multievent(store: StorageBackend, query: MultieventQuery,
     tracer = options.tracer or NULL_TRACER
     with tracer.span("plan"):
         plan = plan_multievent(query)
-    from repro.engine.vectorized import execute_vectorized
-    fast = execute_vectorized(store, plan, query, options)
-    if fast is not None:
-        columns, rows, report = fast
-        elapsed = monotonic() - started
-        report.elapsed = elapsed
-        return QueryResult(columns=columns, rows=rows, elapsed=elapsed,
-                           kind="multievent", report=report.describe(),
-                           execution=report)
     bindings, report = run_plan(store, plan, options)
     with tracer.span("project") as span:
         columns, rows = project_bindings(plan, query, bindings)

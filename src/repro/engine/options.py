@@ -25,9 +25,8 @@ class EngineOptions:
     remaining ones (§2.3); defaults are the paper's configuration, and
     results are identical with either off.  Propagated restrictions
     always travel into the backend scan inside the
-    :class:`~repro.storage.backend.ScanSpec`, together with the consumed
-    column set and any time-ordered ``top N``; single-pattern queries on
-    a backend with ``select_batches`` run over column batches.
+    :class:`~repro.storage.backend.ScanSpec`, together with any
+    time-ordered ``top N``.
 
     ``explain`` records the chosen access path per pattern in the
     execution report (the ``repro query --explain`` surface).

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 from typing import Callable
 
-from repro.errors import SemanticError
+from repro.errors import DataModelError, SemanticError
 from repro.lang.ast import (AttributeRelation, Constraint, EventPattern,
                             MultieventQuery, TemporalRelation, VarRef)
 from repro.model.entities import DEFAULT_ATTRIBUTE, canonical_attribute
@@ -37,10 +37,10 @@ from repro.storage.stats import PatternProfile
 class DataQuery:
     """Everything needed to fetch and filter one pattern's matches.
 
-    ``compiled`` carries the residual predicate in both evaluation modes
-    (structured atoms for batch backends, fused per-event callable for
-    row-at-a-time backends); ``predicate`` is the fused form, kept as its
-    own field for direct per-event use.
+    ``compiled`` carries the residual predicate as its atoms (what a
+    shard worker receives) and the generated per-event function;
+    ``predicate`` is that function, kept as its own field for direct
+    per-event use.
     """
 
     index: int                       # position in the query's pattern list
@@ -86,11 +86,6 @@ class QueryPlan:
     temporal: tuple[TemporalRelation, ...]  # normalized to 'before'
     variable_types: dict[str, str]
     relations: tuple[RelationCheck, ...] = ()
-    #: Per-pattern needed-column sets (``None`` = the pattern's consumers
-    #: are not statically known, fetch everything).  Derived from the
-    #: return/sort/``with`` clauses plus join variables; the scheduler
-    #: lowers them into each scan's :attr:`ScanSpec.projection`.
-    projections: tuple[frozenset[str] | None, ...] = ()
     #: Pushed-down ``top N`` over time order, only ever set for
     #: single-pattern non-distinct queries whose result order is the
     #: canonical ``(ts, id)`` (or its descending mirror).
@@ -285,67 +280,7 @@ def plan_multievent(query: MultieventQuery) -> QueryPlan:
                                if global_agents is not None else None),
                      temporal=temporal, variable_types=variable_types,
                      relations=relations,
-                     projections=_derive_projections(query, queries),
                      scan_order=_derive_scan_order(query, queries))
-
-
-def _derive_projections(query: MultieventQuery,
-                        data_queries: tuple[DataQuery, ...],
-                        ) -> tuple[frozenset[str] | None, ...]:
-    """Per-pattern column sets the rest of the query actually consumes.
-
-    A pattern's scan only needs a column when the return clause, a sort
-    key, or a ``with`` attribute relation reads it, or when its entity
-    side is a join variable shared with another pattern.  Filter-only
-    attributes are *not* needed: backends evaluate the residual
-    predicate before gathering, so a constrained-but-never-returned
-    column never leaves the scan.  ``ts``/``id`` are implied (they carry
-    the result order and temporal joins) and stay out of the sets.  A
-    reference that does not resolve statically makes that pattern's
-    projection ``None`` (fetch everything); projection is an
-    optimization hint, never the place semantic errors surface.
-    """
-    refs = [item.expr for item in query.return_items
-            if isinstance(item.expr, VarRef)]
-    refs.extend(key.expr for key in query.sort_by)
-    for relation in query.relations:
-        refs.append(relation.left)
-        refs.append(relation.right)
-    shared: dict[str, int] = {}
-    for dq in data_queries:
-        for variable in set(dq.variables):
-            shared[variable] = shared.get(variable, 0) + 1
-    projections: list[frozenset[str] | None] = []
-    for dq in data_queries:
-        needed: set[str] = set()
-        opaque = False
-        for ref in refs:
-            variable = ref.variable
-            if variable == dq.event_var:
-                try:
-                    attribute = canonical_event_attribute(
-                        ref.attribute or "id")
-                except Exception:
-                    opaque = True
-                    break
-                if attribute not in ("id", "ts"):
-                    needed.add(attribute)
-            else:
-                if variable == dq.subject_var:
-                    needed.add("subject")
-                if variable == dq.object_var:
-                    needed.add("object")
-        if opaque:
-            projections.append(None)
-            continue
-        for variable in set(dq.variables):
-            if shared.get(variable, 0) > 1:
-                if variable == dq.subject_var:
-                    needed.add("subject")
-                if variable == dq.object_var:
-                    needed.add("object")
-        projections.append(frozenset(needed))
-    return tuple(projections)
 
 
 def _derive_scan_order(query: MultieventQuery,
@@ -373,7 +308,7 @@ def _derive_scan_order(query: MultieventQuery,
             return None
         try:
             attribute = canonical_event_attribute(ref.attribute or "id")
-        except Exception:
+        except DataModelError:
             return None
         if attribute != "ts":
             return None
@@ -402,7 +337,7 @@ def binding_getter(ref: VarRef, variable_types: dict[str, str],
     else:
         try:
             attribute = canonical_attribute(entity_type, ref.attribute)
-        except Exception as exc:
+        except DataModelError as exc:
             raise SemanticError(str(exc)) from None
     return lambda binding: getattr(binding[variable], attribute)
 

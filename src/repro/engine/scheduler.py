@@ -37,15 +37,12 @@ from repro.storage.backend import (IdentityBindings, ScanSpec,
 
 
 def annotate_path(name: str, spec: ScanSpec) -> str:
-    """Append the spec's projection/order pushdowns to an access-path name.
+    """Append the spec's order pushdown to an access-path name.
 
-    The explain surface's rendering of which columns the scan was asked
-    to gather and whether a top-k limit was pushed into it
-    (``first``/``last`` = ascending/descending time order).
+    The explain surface's rendering of whether a top-k limit was pushed
+    into the scan (``first``/``last`` = ascending/descending time order).
     """
     parts = [name]
-    if spec.projection is not None:
-        parts.append(f"proj=[{','.join(sorted(spec.projection)) or '-'}]")
     if spec.order is not None and spec.order.limit is not None:
         direction = "last" if spec.order.descending else "first"
         parts.append(f"limit={spec.order.limit}({direction})")
@@ -73,8 +70,6 @@ def describe_spec(spec: ScanSpec) -> str:
         parts.append("bounds=(%s,%s)" % (
             "-inf" if spec.bounds.lo == -math.inf else f"{spec.bounds.lo:.0f}",
             "inf" if spec.bounds.hi == math.inf else f"{spec.bounds.hi:.0f}"))
-    if spec.projection is not None:
-        parts.append(f"proj=[{','.join(sorted(spec.projection)) or '-'}]")
     if spec.order is not None and spec.order.limit is not None:
         direction = "last" if spec.order.descending else "first"
         parts.append(f"order={direction}:{spec.order.limit}")
@@ -196,7 +191,6 @@ class Scheduler:
             # where nothing propagates — the guard keeps it that way).
             spec = ScanSpec(window=plan.window, agentids=_agents(dq),
                             bindings=bindings, bounds=bounds,
-                            projection=plan.projections[dq.index],
                             order=(plan.scan_order
                                    if bindings is None and bounds is None
                                    else None))
@@ -274,7 +268,6 @@ class Scheduler:
         decisions = []
         for dq in plan.data_queries:
             spec = ScanSpec(window=plan.window, agentids=_agents(dq),
-                            projection=plan.projections[dq.index],
                             order=plan.scan_order)
             # Diagnostic path: estimate and access_path may re-cost the
             # same scan (sqlite answers both with a COUNT); explain is

@@ -6,10 +6,6 @@ to execute to :func:`verify_spec`, together with the propagation state
 the spec was derived from.  The verifier recomputes, from the query plan
 and that state alone, what a sound spec is allowed to claim:
 
-* **projection** — a pushed column set must cover every column the rest
-  of the query consumes for this pattern (return/sort/``with`` reads
-  plus join-variable sides); a scan that gathers less would build rows
-  with missing fields;
 * **temporal bounds** — a pushed bound must not be tighter than the
   interval implied by the temporal closure and the executed partners'
   recorded spans; a tighter bound could drop events that still have
@@ -36,8 +32,7 @@ from __future__ import annotations
 import math
 
 from repro.engine.planner import DataQuery, QueryPlan
-from repro.errors import ExecutionError
-from repro.lang.ast import MultieventQuery, VarRef
+from repro.errors import DataModelError, ExecutionError
 from repro.model.events import canonical_event_attribute
 from repro.storage.backend import ScanSpec, TemporalBounds
 
@@ -52,7 +47,6 @@ def verify_spec(plan: QueryPlan, dq: DataQuery, spec: ScanSpec, *,
                 ts_bounds: dict[str, tuple[float, float]]) -> None:
     """Check one emitted spec against its plan and propagation state."""
     problems: list[str] = []
-    _check_projection(plan, dq, spec, problems)
     _check_bounds(dq, spec, closure, ts_bounds, problems)
     _check_order(plan, dq, spec, problems)
     _check_bindings(dq, spec, identity_sets, problems)
@@ -60,71 +54,6 @@ def verify_spec(plan: QueryPlan, dq: DataQuery, spec: ScanSpec, *,
         raise PlanVerificationError(
             f"unsound scan spec for pattern {dq.event_var!r}: "
             + "; ".join(problems))
-
-
-# ---------------------------------------------------------------------------
-# Projection: pushed columns must cover every consumed column
-# ---------------------------------------------------------------------------
-
-def consumed_columns(query: MultieventQuery, plan: QueryPlan,
-                     dq: DataQuery) -> frozenset[str] | None:
-    """Columns this pattern's scan must gather, or None for *everything*.
-
-    ``None`` means the consumers are not statically known (an
-    unresolvable reference, a non-variable return item) — the only sound
-    projection then is no projection at all.
-    """
-    refs: list[VarRef] = []
-    for item in query.return_items:
-        if not isinstance(item.expr, VarRef):
-            return None
-        refs.append(item.expr)
-    refs.extend(key.expr for key in query.sort_by)
-    for relation in query.relations:
-        refs.append(relation.left)
-        refs.append(relation.right)
-    needed: set[str] = set()
-    for ref in refs:
-        if ref.variable == dq.event_var:
-            try:
-                attribute = canonical_event_attribute(ref.attribute or "id")
-            except Exception:
-                return None
-            # id/ts always travel with a scan result (they carry result
-            # order and temporal joins); only the payload columns count.
-            if attribute not in ("id", "ts"):
-                needed.add(attribute)
-        else:
-            if ref.variable == dq.subject_var:
-                needed.add("subject")
-            if ref.variable == dq.object_var:
-                needed.add("object")
-    counts: dict[str, int] = {}
-    for other in plan.data_queries:
-        for variable in set(other.variables):
-            counts[variable] = counts.get(variable, 0) + 1
-    if counts.get(dq.subject_var, 0) > 1:
-        needed.add("subject")
-    if counts.get(dq.object_var, 0) > 1:
-        needed.add("object")
-    return frozenset(needed)
-
-
-def _check_projection(plan: QueryPlan, dq: DataQuery, spec: ScanSpec,
-                      problems: list[str]) -> None:
-    if spec.projection is None:
-        return
-    required = consumed_columns(plan.query, plan, dq)
-    if required is None:
-        problems.append(
-            "projection pushed although the pattern's consumers are not "
-            "statically known")
-        return
-    missing = required - spec.projection
-    if missing:
-        problems.append(
-            f"projection {sorted(spec.projection)} is missing consumed "
-            f"column(s) {sorted(missing)}")
 
 
 # ---------------------------------------------------------------------------
@@ -247,7 +176,7 @@ def _check_order(plan: QueryPlan, dq: DataQuery, spec: ScanSpec,
                 try:
                     attribute = canonical_event_attribute(
                         key.expr.attribute or "id")
-                except Exception:
+                except DataModelError:
                     attribute = None
                 sound_sort = attribute == "ts"
                 descending = key.descending

@@ -25,7 +25,7 @@ pattern matching).
 
 from __future__ import annotations
 
-from repro.errors import SemanticError
+from repro.errors import DataModelError, SemanticError
 from repro.lang import ast
 from repro.lang.errors import AiqlSyntaxError
 from repro.lang.lexer import tokenize
@@ -166,7 +166,7 @@ class Parser:
             literal = self._expect(TokenType.STRING, "a date string")
             try:
                 window = Window.for_day(literal.text)
-            except Exception as exc:
+            except DataModelError as exc:
                 raise self._error(str(exc), literal) from None
         elif token.keyword == "from":
             self._advance()
@@ -175,7 +175,7 @@ class Parser:
             end = self._expect(TokenType.STRING, "a date string")
             try:
                 window = Window.between(start.text, end.text)
-            except Exception as exc:
+            except DataModelError as exc:
                 raise self._error(str(exc), start) from None
         else:
             raise self._error("expected 'at' or 'from' inside '(...)'", token)
@@ -273,7 +273,7 @@ class Parser:
             if attribute != "agentid":
                 try:
                     attribute = canonical_attribute(entity_type, attribute)
-                except Exception as exc:
+                except DataModelError as exc:
                     raise self._error(str(exc), name) from None
             if self._at_keyword("like"):
                 self._advance()
@@ -411,7 +411,7 @@ class Parser:
         self._advance()
         try:
             return parse_duration(f"{number.text} {unit.text}")
-        except Exception as exc:
+        except DataModelError as exc:
             raise self._error(str(exc), unit) from None
 
     # ------------------------------------------------------------------

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.errors import SemanticError
+from repro.errors import DataModelError, SemanticError
 from repro.model.entities import (DEFAULT_ATTRIBUTE, canonical_attribute,
                                   entity_attributes)
 from repro.model.events import canonical_event_attribute
@@ -54,7 +54,7 @@ def resolve_entity_attribute(variable: str, entity_type: str,
         return AttributeRef(variable, default_attribute(entity_type), "entity")
     try:
         resolved = canonical_attribute(entity_type, attribute)
-    except Exception as exc:
+    except DataModelError as exc:
         raise SemanticError(str(exc)) from None
     return AttributeRef(variable, resolved, "entity")
 
@@ -63,7 +63,7 @@ def resolve_event_attribute(variable: str, attribute: str) -> AttributeRef:
     """Resolve ``evt.attr`` against the event attribute registry."""
     try:
         resolved = canonical_event_attribute(attribute)
-    except Exception as exc:
+    except DataModelError as exc:
         raise SemanticError(str(exc)) from None
     return AttributeRef(variable, resolved, "event")
 

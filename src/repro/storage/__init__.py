@@ -1,11 +1,10 @@
 """Domain-specific storage: pluggable backends over hypertable partitions.
 
 The :class:`~repro.storage.backend.StorageBackend` protocol is the seam;
-``row`` (:class:`EventStore`) and ``columnar``
-(:class:`repro.storage.columnar.ColumnarEventStore`) are the in-memory
-implementations, with ``sqlite`` provided by
-:mod:`repro.baselines.sqlite_backend`.  The columnar store is imported
-lazily through the registry to keep this package import-light.
+``row`` (:class:`EventStore`) is the one in-memory implementation, with
+``sqlite`` provided by :mod:`repro.baselines.sqlite_backend` (imported
+lazily through the registry to keep this package import-light).  The
+deprecated name ``columnar`` resolves to ``row``.
 """
 
 from repro.storage.backend import (AccessPathInfo, IdentityBindings,

@@ -4,17 +4,16 @@ The paper's claim (Figure 1) is that interactive attack investigation
 requires co-designing the storage substrate with the execution engine.  To
 compare substrates fairly — and to let future PRs add sharded, async, or
 multi-process stores — every engine component depends on this protocol
-instead of a concrete store.  Three first-class implementations ship:
+instead of a concrete store.  Two single-node implementations ship:
 
-* ``row`` — :class:`repro.storage.store.EventStore`, the original
-  row-oriented in-memory hypertable with per-partition posting indexes;
-* ``columnar`` — :class:`repro.storage.columnar.ColumnarEventStore`,
-  struct-of-arrays partitions with zone maps and batch predicate scans;
+* ``row`` — :class:`repro.storage.store.EventStore`, the in-memory
+  hypertable with per-partition posting indexes;
 * ``sqlite`` — :class:`repro.baselines.sqlite_backend.SqliteEventStore`,
   an indexed SQLite table behind the same surface.
 
 Backends register by name in a factory registry; sessions, the CLI, and
-the benchmarks all select one through :func:`create_backend`.
+the benchmarks all select one through :func:`create_backend`.  The
+deprecated name ``columnar`` still resolves, to ``row``.
 """
 
 from __future__ import annotations
@@ -22,7 +21,7 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
-from typing import (TYPE_CHECKING, Callable, Iterable, Protocol, Sequence,
+from typing import (TYPE_CHECKING, Callable, Iterable, Protocol,
                     runtime_checkable)
 
 from repro.errors import StorageError
@@ -45,11 +44,10 @@ class TemporalBounds:
     temporal relations and the timestamp ranges of already-executed
     partner patterns, an interval every useful candidate of a pattern
     must fall into.  Passing that interval *into* the backend lets the
-    restriction prune during the scan — zone-map partition skipping and
-    a binary-searched clamp of the sorted ts column (columnar), a costed
-    time-index range scan (row store), or indexed ``BETWEEN``/comparison
-    predicates (SQLite) — instead of post-filtering materialized
-    survivors.
+    restriction prune during the scan — partition zone pruning plus a
+    costed time-index range scan (row store), or indexed
+    ``BETWEEN``/comparison predicates (SQLite) — instead of
+    post-filtering materialized survivors.
 
     Unlike a half-open :class:`~repro.model.timeutil.Window`, each side
     carries its own inclusivity: a strict ``before`` derives an
@@ -122,9 +120,8 @@ class IdentityBindings:
     The scheduler's binding propagation (§2.3) restricts a pattern's
     subject/object to entity identities already seen by executed partner
     patterns.  Passing the sets *into* the backend lets the restriction
-    prune during the scan — via identity posting lists (row store),
-    dictionary-code membership in the fused batch loop (columnar store),
-    or compiled ``IN (...)`` predicates (SQLite) — instead of
+    prune during the scan — via identity posting lists (row store) or
+    compiled ``IN (...)`` predicates (SQLite) — instead of
     post-filtering materialized survivors.
 
     ``None`` on a side means unrestricted; an *empty* set means the
@@ -187,12 +184,6 @@ class ScanOrder:
         return lambda event: (event.ts, event.id)
 
 
-#: Span length at which the columnar ordered scan evaluates the fused
-#: filter chunk-at-a-time so it can stop once ``limit`` survivors are
-#: found, instead of filtering the entire span up front.
-ORDERED_CHUNK = 2048
-
-
 def take_ordered(events: Iterable[Event], order: ScanOrder,
                  limit: int) -> list[Event]:
     """True first/last-``limit`` survivors under the order's comparator.
@@ -225,13 +216,8 @@ class ScanSpec:
     * ``agentids`` — the spatial restriction (``None`` = all agents);
     * ``bindings`` — propagated identity restrictions (§2.3);
     * ``bounds`` — propagated per-side-inclusive timestamp bounds;
-    * ``limit`` — optional cap on returned survivors (projection/limit
-      pushdown for callers that only need the first N);
-    * ``projection`` — the attribute columns the caller will actually
-      consume (``operation``/``subject``/``object``/``amount``/
-      ``failcode``/``agentid``; ``ts`` and ``id`` are always implied).
-      ``None`` means "everything".  Purely advisory for Event-returning
-      ``select``; the columnar ``select_batches`` gathers only these;
+    * ``limit`` — optional cap on returned survivors (limit pushdown
+      for callers that only need the first N);
     * ``order`` — pushed-down ``(ts, id)`` result ordering with an
       optional top-k limit (:class:`ScanOrder`).  A backend honoring it
       returns the true first/last N survivors already sorted.
@@ -251,7 +237,6 @@ class ScanSpec:
     bindings: IdentityBindings | None = None
     bounds: TemporalBounds | None = None
     limit: int | None = None
-    projection: frozenset[str] | None = None
     order: ScanOrder | None = None
 
     @property
@@ -314,71 +299,6 @@ def resolve_spec(spec: ScanSpec | None) -> ScanSpec:
     return spec if spec is not None else FULL_SCAN
 
 
-class ColumnBatch:
-    """One partition's scan survivors as parallel column slices.
-
-    The vectorized exchange format: instead of materializing an
-    :class:`~repro.model.events.Event` per survivor, a batch backend
-    hands back struct-of-arrays slices — one C-level :mod:`array` slice
-    per column when the survivors are contiguous, gathered lists
-    otherwise — plus the dictionaries needed to decode
-    them.  ``ts`` and ``ids`` are always present; the attribute columns
-    are ``None`` when the scan's :attr:`ScanSpec.projection` excluded
-    them.  ``ops``/``subjects``/``objects`` hold dictionary *codes*;
-    :meth:`operations`, :meth:`subject_entities` and
-    :meth:`object_entities` decode them in one comprehension.
-
-    ``hydrate(i)`` materializes row ``i`` as a full interned ``Event`` —
-    the lazy escape hatch for consumers that genuinely need one (e.g. a
-    join that binds entities the projection did not cover).
-    """
-
-    __slots__ = ("agentid", "ids", "ts", "ops", "subjects", "objects",
-                 "amounts", "failcodes", "op_names", "entities", "hydrate")
-
-    def __init__(self, agentid: int, ids: Sequence[int],
-                 ts: Sequence[float], *,
-                 ops: Sequence[int] | None = None,
-                 subjects: Sequence[int] | None = None,
-                 objects: Sequence[int] | None = None,
-                 amounts: Sequence[int] | None = None,
-                 failcodes: Sequence[int] | None = None,
-                 op_names: Sequence[str] | dict[int, str] = (),
-                 entities: Sequence[Entity] | dict[int, Entity] = (),
-                 hydrate: Callable[[int], Event] | None = None) -> None:
-        self.agentid = agentid
-        self.ids = ids
-        self.ts = ts
-        self.ops = ops
-        self.subjects = subjects
-        self.objects = objects
-        self.amounts = amounts
-        self.failcodes = failcodes
-        self.op_names = op_names
-        self.entities = entities
-        self.hydrate = hydrate
-
-    def __len__(self) -> int:
-        return len(self.ids)
-
-    def operations(self) -> list[str]:
-        names = self.op_names
-        return [names[code] for code in self.ops]
-
-    def subject_entities(self) -> list[Entity]:
-        entities = self.entities
-        return [entities[code] for code in self.subjects]
-
-    def object_entities(self) -> list[Entity]:
-        entities = self.entities
-        return [entities[code] for code in self.objects]
-
-    def events(self) -> list[Event]:
-        """Materialize every row (the non-lazy fallback)."""
-        hydrate = self.hydrate
-        return [hydrate(i) for i in range(len(self.ids))]
-
-
 @dataclass(frozen=True, slots=True)
 class AccessPathInfo:
     """One backend's chosen physical access path for a scan.
@@ -405,10 +325,9 @@ class StorageBackend(Protocol):
     agent write path (``record``/``ingest``), the index-backed candidate
     fetch, cardinality estimation for pruning-power scheduling, and full
     scans — plus ``select``, the fused fetch-and-filter entry point that
-    lets a backend evaluate a pattern's residual predicate its own way
-    (per event, or over column batches), and ``access_path``, which
-    reports the physical path the backend would choose without fetching
-    (the ``explain()`` surface).
+    lets a backend evaluate a pattern's residual predicate its own way,
+    and ``access_path``, which reports the physical path the backend
+    would choose without fetching (the ``explain()`` surface).
 
     ``candidates``/``select``/``estimate`` take the whole physical-scan
     contract as a single :class:`ScanSpec`.  Backends *may* ignore the
@@ -473,8 +392,8 @@ def select_via_candidates(backend: StorageBackend, profile: PatternProfile,
                           ) -> tuple[list[Event], int]:
     """Default ``select``: candidate fetch + fused per-event residual.
 
-    Row-at-a-time backends share this implementation; batch backends
-    override ``select`` entirely.  Returns ``(survivors, fetched)`` where
+    Backends share this implementation (the row store overrides only the
+    ordered top-k case).  Returns ``(survivors, fetched)`` where
     ``fetched`` is the candidate-list size (for execution reports).  An
     unsatisfiable spec short-circuits, and the spec's binding/bounds
     hints are enforced exactly on the survivors, whatever the backend's
@@ -528,12 +447,12 @@ def select_via_candidates(backend: StorageBackend, profile: PatternProfile,
     return selected, len(fetched)
 
 
-# Scan telemetry handles, created once at import.  Every physical scan —
-# this shared row-at-a-time path *and* the columnar batch overrides —
-# reports through :func:`record_scan`, so the counters mean the same
-# thing on every backend; under sharding the inner backend runs in the
-# worker process and these land in the worker's registry, which is what
-# makes coordinator-merged totals equal the sum of worker snapshots.
+# Scan telemetry handles, created once at import.  Scans through the
+# shared path above report through :func:`record_scan`, so the counters
+# mean the same thing on every backend; under sharding the inner backend
+# runs in the worker process and these land in the worker's registry,
+# which is what makes coordinator-merged totals equal the sum of worker
+# snapshots.
 _SCAN_COUNT = REGISTRY.counter("storage.scan.count")
 _SCAN_FETCHED = REGISTRY.counter("storage.scan.fetched")
 _SCAN_MATCHED = REGISTRY.counter("storage.scan.matched")
@@ -557,11 +476,16 @@ BackendFactory = Callable[[float], StorageBackend]
 #: The backends that ship with the repo.  A static tuple so surfaces that
 #: only need the names (CLI ``--backend`` choices) avoid importing the
 #: implementations.
-BUILTIN_BACKENDS = ("row", "columnar", "sqlite")
+BUILTIN_BACKENDS = ("row", "sqlite")
 
 #: The sharded scatter-gather family (each hosts a builtin per worker).
-SHARDED_BACKENDS = ("sharded", "sharded(row)", "sharded(columnar)",
-                    "sharded(sqlite)")
+SHARDED_BACKENDS = ("sharded", "sharded(row)", "sharded(sqlite)")
+
+#: Deprecated backend names and the backend each resolves to.  The
+#: ``columnar`` store was folded into ``row``; its name (also inside
+#: ``sharded(columnar[,N])``) still works for existing scripts and
+#: benchmarks, and is listed nowhere else.
+BACKEND_ALIASES = {"columnar": "row"}
 
 _FACTORIES: dict[str, BackendFactory] = {}
 
@@ -577,9 +501,6 @@ def _ensure_builtins() -> None:
     if "row" not in _FACTORIES:
         from repro.storage.store import EventStore
         register_backend("row", EventStore)
-    if "columnar" not in _FACTORIES:
-        from repro.storage.columnar import ColumnarEventStore
-        register_backend("columnar", ColumnarEventStore)
     if "sqlite" not in _FACTORIES:
         from repro.baselines.sqlite_backend import SqliteEventStore
         register_backend("sqlite", SqliteEventStore)
@@ -596,11 +517,12 @@ def available_backends() -> tuple[str, ...]:
 
 def create_backend(name: str,
                    bucket_seconds: float = SECONDS_PER_DAY) -> StorageBackend:
-    """Instantiate a backend by registry name."""
+    """Instantiate a backend by registry name (or deprecated alias)."""
     _ensure_builtins()
+    name = BACKEND_ALIASES.get(name, name)
     factory = _FACTORIES.get(name)
     if factory is None and name.startswith("sharded("):
-        # Parameterized spellings ("sharded(columnar,4)") construct
+        # Parameterized spellings ("sharded(row,4)") construct
         # directly; the fixed-arity family is registered above.
         from repro.storage.sharded import ShardedStore, parse_backend_name
         inner, shards = parse_backend_name(name)

@@ -20,12 +20,15 @@ import bisect
 import functools
 import re
 from collections import defaultdict
+from operator import attrgetter
 from typing import TYPE_CHECKING, Iterable, Iterator
 
 from repro.model.events import Event
 
 if TYPE_CHECKING:
     from repro.model.timeutil import Window
+
+_TS = attrgetter("ts")
 
 
 @functools.lru_cache(maxsize=4096)
@@ -142,16 +145,17 @@ class PostingIndex:
 
 
 class TimeIndex:
-    """Sorted timestamp array over a partition's events.
+    """A partition's events sorted by ``(ts, id)``, searched by timestamp.
 
     Partitions append events roughly in order; the index keeps a dirty flag
     and re-sorts lazily on first lookup after out-of-order inserts.
+    Lookups bisect the event list itself on ``ts`` (no parallel timestamp
+    array to keep in step).
     """
 
-    __slots__ = ("_timestamps", "_events", "_sorted", "min_ts", "max_ts")
+    __slots__ = ("_events", "_sorted", "min_ts", "max_ts")
 
     def __init__(self) -> None:
-        self._timestamps: list[float] = []
         self._events: list[Event] = []
         self._sorted = True
         # Zone map over the stored timestamps: lets partition pruning test
@@ -164,12 +168,11 @@ class TimeIndex:
         # Tie-aware: equal timestamps must still order by id, or the
         # ordered-scan early termination would trust a (ts, id) order
         # that an equal-ts, out-of-order-id ingest silently broke.
-        if self._timestamps and (
-                event.ts < self._timestamps[-1]
-                or (event.ts == self._timestamps[-1]
-                    and event.id < self._events[-1].id)):
-            self._sorted = False
-        self._timestamps.append(event.ts)
+        if self._events:
+            last = self._events[-1]
+            if event.ts < last.ts or (event.ts == last.ts
+                                      and event.id < last.id):
+                self._sorted = False
         self._events.append(event)
         if event.ts < self.min_ts:
             self.min_ts = event.ts
@@ -179,23 +182,23 @@ class TimeIndex:
     def _ensure_sorted(self) -> None:
         if self._sorted:
             return
-        order = sorted(range(len(self._events)),
-                       key=lambda i: (self._timestamps[i], self._events[i].id))
-        self._timestamps = [self._timestamps[i] for i in order]
-        self._events = [self._events[i] for i in order]
+        self._events.sort(key=lambda event: (event.ts, event.id))
         self._sorted = True
+
+    def _span(self, start: float, end: float) -> tuple[int, int]:
+        """Row span of ``start <= ts < end`` in the sorted list."""
+        self._ensure_sorted()
+        events = self._events
+        return (bisect.bisect_left(events, start, key=_TS),
+                bisect.bisect_left(events, end, key=_TS))
 
     def range(self, start: float, end: float) -> list[Event]:
         """Events with ``start <= ts < end`` in timestamp order."""
-        self._ensure_sorted()
-        lo = bisect.bisect_left(self._timestamps, start)
-        hi = bisect.bisect_left(self._timestamps, end)
+        lo, hi = self._span(start, end)
         return self._events[lo:hi]
 
     def count_range(self, start: float, end: float) -> int:
-        self._ensure_sorted()
-        lo = bisect.bisect_left(self._timestamps, start)
-        hi = bisect.bisect_left(self._timestamps, end)
+        lo, hi = self._span(start, end)
         return hi - lo
 
     def all(self) -> list[Event]:
@@ -210,11 +213,10 @@ class TimeIndex:
         can walk it chunk-at-a-time from either end and stop early; the
         caller must treat the list as read-only.
         """
-        self._ensure_sorted()
         if window is None:
+            self._ensure_sorted()
             return self._events, 0, len(self._events)
-        lo = bisect.bisect_left(self._timestamps, window.start)
-        hi = bisect.bisect_left(self._timestamps, window.end)
+        lo, hi = self._span(window.start, window.end)
         return self._events, lo, hi
 
     def __len__(self) -> int:

@@ -8,8 +8,8 @@ dimensions ("time and space partitioning, and hypertable").  A
 agent constraints before touching any event.
 
 Each partition maintains the in-memory indexes the engine's data queries
-use: a time index plus posting indexes on operation, event type, subject
-executable name, and the object's default attribute.
+use: a time index plus posting indexes on (event type, operation), subject
+executable name, the object's default attribute, and entity identity.
 """
 
 from __future__ import annotations
@@ -29,9 +29,9 @@ PartitionKey = tuple[int, int]
 class Partition:
     """All events of one agent within one time bucket, fully indexed."""
 
-    __slots__ = ("key", "time_index", "by_operation", "by_type",
-                 "by_type_operation", "by_subject_name", "by_object_value",
-                 "by_subject_id", "by_object_id", "stats")
+    __slots__ = ("key", "time_index", "by_type_operation",
+                 "by_subject_name", "by_object_value", "by_subject_id",
+                 "by_object_id", "stats")
 
     def __init__(self, key: PartitionKey) -> None:
         self.key = key
@@ -39,8 +39,6 @@ class Partition:
         # feeding the skew-aware windowed estimates in stats.py.
         self.stats = PartitionStatistics()
         self.time_index = TimeIndex()
-        self.by_operation = PostingIndex()
-        self.by_type = PostingIndex()
         self.by_type_operation = PostingIndex()
         self.by_subject_name = PostingIndex()
         # Keyed by (event_type, value) because the default attribute differs
@@ -54,8 +52,6 @@ class Partition:
     def add(self, event: Event) -> None:
         self.time_index.add(event)
         etype = event.event_type
-        self.by_operation.add(event.operation, event)
-        self.by_type.add(etype, event)
         self.by_type_operation.add((etype, event.operation), event)
         self.by_subject_name.add(event.subject.exe_name, event)
         self.by_object_value.add((etype, event.object.default_attribute),

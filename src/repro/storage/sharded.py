@@ -7,25 +7,20 @@ registered single-node backend behind the pickle RPC loop of
 :class:`~repro.storage.backend.StorageBackend` protocol by scattering
 each scan to the relevant shards — the whole
 :class:`~repro.storage.backend.ScanSpec` crosses the boundary, so every
-single-node pushdown (window, agentids, bindings, bounds, projection,
-order) applies *inside* each shard — and gathering:
+single-node pushdown (window, agentids, bindings, bounds, order)
+applies *inside* each shard — and gathering:
 
 * ``estimate`` sums the shard estimates.  Shards partition the event
   space disjointly and each shard runs the same per-partition
   statistics a single node would over the same partitions, so the sum
-  is exactly the single-node estimate for row/columnar backends and the
+  is exactly the single-node estimate for the row backend and the
   scheduler's pruning-power ordering is unchanged;
 * ``select``/``candidates``/``scan`` merge per-shard results under the
   canonical ``(ts, id)`` comparator.  With a pushed
   :class:`~repro.storage.backend.ScanOrder` limit each shard returns
   its local top-k and the coordinator heap-merges the global top-k —
-  the per-partition union → ``heapq.nsmallest`` merge of
-  ``columnar._scan_rows_ordered``, applied one level up;
-* ``select_batches`` gathers projection-trimmed
-  :class:`~repro.storage.shardrpc.WireBatch` columns (compacted
-  dictionaries, only the projected columns) and rebuilds
-  :class:`~repro.storage.backend.ColumnBatch` values, trimming to the
-  global top-k the same way.
+  the row store's per-partition union → ``heapq.nsmallest`` merge,
+  applied one level up.
 
 **Shard pruning:** a spec whose ``agentids`` set maps onto a strict
 subset of the shards never round-trips to the others — routing and
@@ -63,11 +58,11 @@ from repro.model.events import Event, validate_operation
 from repro.model.timeutil import SECONDS_PER_DAY, SPAN_EPSILON, Window
 from repro.obs.clock import monotonic
 from repro.obs.metrics import REGISTRY
-from repro.storage.backend import (AccessPathInfo, ColumnBatch, ScanSpec,
-                                   resolve_spec)
+from repro.storage.backend import (BACKEND_ALIASES, AccessPathInfo,
+                                   ScanSpec, resolve_spec)
 from repro.storage.faults import Fault
-from repro.storage.shardrpc import (SPAWN_CONTEXT, WireBatch, recv_msg,
-                                    send_msg, worker_main)
+from repro.storage.shardrpc import (SPAWN_CONTEXT, recv_msg, send_msg,
+                                    worker_main)
 from repro.storage.stats import PatternProfile
 
 if TYPE_CHECKING:
@@ -110,7 +105,7 @@ def parse_backend_name(name: str) -> tuple[str, int]:
 
 def register_sharded(register) -> None:
     """Hook for the backend registry: the parameterized sharded family."""
-    for inner in ("row", "columnar", "sqlite"):
+    for inner in ("row", "sqlite"):
         register(f"sharded({inner})",
                  _factory(inner))
     register("sharded", _factory("row"))
@@ -191,7 +186,7 @@ class ShardedStore:
     """Agent-hash partitioned scatter-gather over N worker backends.
 
     ``backend`` names the single-node backend every worker hosts; any
-    registered non-sharded name works (``row``/``columnar``/``sqlite``).
+    registered non-sharded name works (``row``/``sqlite``).
     The instance is thread-safe: the EventBus delivery thread and the
     web server's request threads may call it concurrently, and one
     coordinator lock serializes RPC rounds
@@ -205,15 +200,13 @@ class ShardedStore:
             raise StorageError("shard count must be at least 1")
         if backend.startswith("sharded"):
             raise StorageError("sharded backends do not nest")
+        backend = BACKEND_ALIASES.get(backend, backend)
         self.backend_name = f"sharded({backend})"
         self.shard_backend = backend
         # Probe the hosted backend *before* spawning anything: an unknown
-        # name fails fast here instead of crashing N fresh workers, and
-        # the probe decides the batch surface — the vectorized executor
-        # feature-detects select_batches via getattr, so a sharded(row)
-        # store must look exactly as batch-less as row itself does.
+        # name fails fast here instead of crashing N fresh workers.
         from repro.storage.backend import create_backend
-        probe = create_backend(backend, bucket_seconds)
+        create_backend(backend, bucket_seconds)
         self._shards = [_Shard(i, backend, bucket_seconds)
                         for i in range(shards)]
         self._lock = threading.Lock()
@@ -231,8 +224,6 @@ class ShardedStore:
         self.pruned_rounds = 0
         self._finalizer = weakref.finalize(self, _finalize_shards,
                                            self._shards)
-        if hasattr(probe, "select_batches"):
-            self.select_batches = self._select_batches
 
     # ------------------------------------------------------------------
     # Routing
@@ -431,8 +422,8 @@ class ShardedStore:
         limit every shard returns its own true first/last-k — the union
         provably contains the global winners and a bounded heap merge
         (``heapq.nsmallest`` under the order's ``(±ts, id)`` key)
-        finishes the job, mirroring ``columnar._scan_rows_ordered`` one
-        level up.  Only the predicate's atoms cross the wire; workers
+        finishes the job, mirroring the row store's per-partition merge
+        one level up.  Only the predicate's atoms cross the wire; workers
         re-fuse them.
         """
         spec = resolve_spec(spec)
@@ -456,34 +447,6 @@ class ShardedStore:
         if limit is not None:
             del survivors[limit:]
         return survivors, fetched
-
-    def _select_batches(self, profile: PatternProfile,
-                        predicate: "CompiledPredicate",
-                        spec: ScanSpec | None = None,
-                        ) -> tuple[list[ColumnBatch], int]:
-        """Vectorized scatter: projection-aware top-k gather over batches.
-
-        Workers ship only the projected columns with compacted
-        dictionaries (:class:`~repro.storage.shardrpc.WireBatch`); with
-        a pushed order limit the per-shard local top-k batches trim to
-        the global top-k here, row-exactly.
-        """
-        spec = resolve_spec(spec)
-        if spec.unsatisfiable:
-            return [], 0
-        results = self._scatter(spec, "select_batches",
-                                (profile, predicate.atoms, spec))
-        batches: list[ColumnBatch] = []
-        fetched = 0
-        for wire_batches, examined in results:
-            batches.extend(_from_wire(wire) for wire in wire_batches)
-            fetched += examined
-        limit = spec.effective_limit
-        if limit is not None and sum(len(b) for b in batches) > limit:
-            descending = (spec.order.descending
-                          if spec.order is not None else False)
-            batches = _trim_batches(batches, descending, limit)
-        return batches, fetched
 
     def estimate(self, profile: PatternProfile,
                  spec: ScanSpec | None = None) -> int:
@@ -619,83 +582,3 @@ class ShardedStore:
 
     def __len__(self) -> int:
         return self._count
-
-
-# ---------------------------------------------------------------------------
-# Batch gather helpers
-# ---------------------------------------------------------------------------
-
-def _from_wire(wire: WireBatch) -> ColumnBatch:
-    """Rebuild a ColumnBatch from its wire form.
-
-    ``hydrate`` works only when the projection kept every column (the
-    unprojected case); a projected batch cannot materialize full events
-    across the shard boundary, and consumers that need them must widen
-    the projection — the same contract the vectorized executor already
-    honors by compiling getters for exactly its projected columns.
-    """
-    full = all(column is not None for column in
-               (wire.ops, wire.subjects, wire.objects, wire.amounts,
-                wire.failcodes))
-    hydrate = None
-    if full:
-        def hydrate(i: int) -> Event:
-            return Event(id=wire.ids[i], ts=wire.ts[i], agentid=wire.agentid,
-                         operation=wire.op_names[wire.ops[i]],
-                         subject=wire.entities[wire.subjects[i]],
-                         object=wire.entities[wire.objects[i]],
-                         amount=wire.amounts[i], failcode=wire.failcodes[i])
-    return ColumnBatch(
-        agentid=wire.agentid, ids=wire.ids, ts=wire.ts,
-        ops=wire.ops, subjects=wire.subjects, objects=wire.objects,
-        amounts=wire.amounts, failcodes=wire.failcodes,
-        op_names=wire.op_names or (), entities=wire.entities,
-        hydrate=hydrate)
-
-
-def _trim_batches(batches: list[ColumnBatch], descending: bool,
-                  k: int) -> list[ColumnBatch]:
-    """Global top-k over gathered batches (the projection-aware merge).
-
-    Mirrors ``columnar._scan_rows_ordered``'s pairs → ``nsmallest`` →
-    regroup, with batches in place of partitions: every shard's local
-    top-k rows flatten to ``(±ts, id)`` keys, the global k winners are
-    heap-selected, and each surviving batch is re-sliced to its winning
-    rows (ascending row order, preserving the per-batch ``(ts, id)``
-    ascent batch consumers rely on).
-    """
-    pairs: list[tuple[float, int, int, int]] = []
-    for which, batch in enumerate(batches):
-        ts, ids = batch.ts, batch.ids
-        if descending:
-            pairs.extend((-ts[row], ids[row], which, row)
-                         for row in range(len(batch)))
-        else:
-            pairs.extend((ts[row], ids[row], which, row)
-                         for row in range(len(batch)))
-    grouped: dict[int, list[int]] = {}
-    for _ts, _eid, which, row in heapq.nsmallest(k, pairs):
-        grouped.setdefault(which, []).append(row)
-    trimmed: list[ColumnBatch] = []
-    for which in sorted(grouped):
-        batch = batches[which]
-        rows = sorted(grouped[which])
-
-        def take(column, rows=rows):
-            return None if column is None else [column[row] for row in rows]
-
-        source_hydrate = batch.hydrate
-        hydrate = None
-        if source_hydrate is not None:
-            def hydrate(i: int, rows=rows, source=source_hydrate) -> Event:
-                return source(rows[i])
-        trimmed.append(ColumnBatch(
-            agentid=batch.agentid,
-            ids=[batch.ids[row] for row in rows],
-            ts=[batch.ts[row] for row in rows],
-            ops=take(batch.ops), subjects=take(batch.subjects),
-            objects=take(batch.objects), amounts=take(batch.amounts),
-            failcodes=take(batch.failcodes),
-            op_names=batch.op_names, entities=batch.entities,
-            hydrate=hydrate))
-    return trimmed

@@ -1,7 +1,7 @@
 """Worker side of the sharded execution tier: a pickle RPC loop over pipes.
 
 One shard worker = one OS process hosting one ordinary registered
-single-node backend (``row``/``columnar``/``sqlite``).  The coordinator
+single-node backend (``row``/``sqlite``).  The coordinator
 (:class:`repro.storage.sharded.ShardedStore`) talks to it over a
 :func:`multiprocessing.Pipe` connection pair with length-prefixed pickle
 frames: every message is ``pickle.dumps(obj)`` sent through
@@ -15,11 +15,8 @@ crosses the boundary is a :class:`~repro.storage.backend.ScanSpec`
 (``tools/check_invariants.py`` enforces this statically).  Residual
 predicates cross as their :class:`~repro.engine.filters.Atom` tuples
 (pure picklable data) and are re-fused worker-side with
-:func:`~repro.engine.filters.compile_atoms`; the fused lambda itself
-never needs to pickle.  Column batches cross as :class:`WireBatch`
-values — plain columns plus *compacted* dictionaries restricted to the
-codes the batch actually uses, so a shard never ships its whole entity
-vocabulary to answer a projected scan.
+:func:`~repro.engine.filters.compile_atoms`; the generated function
+itself never needs to pickle.
 
 Workers are always started from the ``spawn`` context (see
 :data:`SPAWN_CONTEXT`): the coordinator lives in processes that may
@@ -59,7 +56,6 @@ SHARD_FAULT_POINTS = (
     "shard.worker.ingest",
     "shard.worker.candidates",
     "shard.worker.select",
-    "shard.worker.select_batches",
     "shard.worker.estimate",
 )
 
@@ -76,74 +72,13 @@ def recv_msg(conn: "Connection") -> Any:
     return pickle.loads(conn.recv_bytes())
 
 
-class WireBatch:
-    """A picklable :class:`~repro.storage.backend.ColumnBatch` payload.
-
-    Same columns, but the dictionary vocabularies are *compacted* to
-    dicts keyed by the codes present in this batch (``ColumnBatch``
-    accepts dict vocabularies precisely for this), and there is no
-    ``hydrate`` closure — the coordinator rebuilds one from the columns
-    when the projection kept them all.
-    """
-
-    __slots__ = ("agentid", "ids", "ts", "ops", "subjects", "objects",
-                 "amounts", "failcodes", "op_names", "entities")
-
-    def __init__(self, agentid, ids, ts, ops, subjects, objects, amounts,
-                 failcodes, op_names, entities) -> None:
-        self.agentid = agentid
-        self.ids = ids
-        self.ts = ts
-        self.ops = ops
-        self.subjects = subjects
-        self.objects = objects
-        self.amounts = amounts
-        self.failcodes = failcodes
-        self.op_names = op_names
-        self.entities = entities
-
-    def __getstate__(self) -> tuple:
-        return tuple(getattr(self, name) for name in self.__slots__)
-
-    def __setstate__(self, state: tuple) -> None:
-        for name, value in zip(self.__slots__, state):
-            setattr(self, name, value)
-
-
-def _to_wire(batch) -> WireBatch:
-    """Compact one ColumnBatch into its picklable wire form."""
-    op_names = None
-    if batch.ops is not None:
-        vocabulary = batch.op_names
-        op_names = {code: vocabulary[code] for code in set(batch.ops)}
-    codes: set[int] = set()
-    if batch.subjects is not None:
-        codes.update(batch.subjects)
-    if batch.objects is not None:
-        codes.update(batch.objects)
-    vocabulary = batch.entities
-    entities = {code: vocabulary[code] for code in codes}
-
-    def plain(column):
-        # array-slices pickle fine but lists keep the coordinator's
-        # rebuild uniform (and survive append-side type differences).
-        return None if column is None else list(column)
-
-    return WireBatch(
-        agentid=batch.agentid, ids=list(batch.ids), ts=list(batch.ts),
-        ops=plain(batch.ops), subjects=plain(batch.subjects),
-        objects=plain(batch.objects), amounts=plain(batch.amounts),
-        failcodes=plain(batch.failcodes),
-        op_names=op_names, entities=entities)
-
-
 def _dispatch(backend, faults: FaultInjector, method: str,
               args: tuple) -> object:
     """Execute one request against the hosted backend.
 
     Scan methods receive ``(profile, spec)`` or ``(profile, atoms,
     spec)`` — the spec is always the last positional argument, so every
-    pushdown (window, agentids, bindings, bounds, projection, order)
+    pushdown (window, agentids, bindings, bounds, order)
     applies *inside* the shard exactly as it would on a single node.
     """
     faults.crash_point(f"shard.worker.{method}")
@@ -159,12 +94,6 @@ def _dispatch(backend, faults: FaultInjector, method: str,
         from repro.engine.filters import compile_atoms
         profile, atoms, spec = args
         return backend.select(profile, compile_atoms(atoms), spec)
-    if method == "select_batches":
-        from repro.engine.filters import compile_atoms
-        profile, atoms, spec = args
-        batches, fetched = backend.select_batches(
-            profile, compile_atoms(atoms), spec)
-        return [_to_wire(batch) for batch in batches], fetched
     if method == "estimate":
         profile, spec = args
         return backend.estimate(profile, spec)

@@ -3,8 +3,8 @@
 The optimized scheduler (§2.3) prioritizes event patterns "with higher
 pruning power".  Pruning power is the inverse of estimated match
 cardinality, and that estimate comes from the per-partition posting-index
-cardinalities collected here: how many events carry a given operation, event
-type, subject name, or object value.
+cardinalities collected here: how many events carry a given (event type,
+operation) pair, subject name, or object value.
 
 Estimates are exact for exact-match constraints (they read posting sizes)
 and computed by key-space matching for LIKE patterns; both are cheap because
@@ -39,11 +39,13 @@ class PatternProfile:
     ``subject_exact``/``subject_like`` constrain the subject executable
     name; ``object_exact``/``object_like`` constrain the object's default
     attribute.  ``operations`` is the allowed operation set (possibly from a
-    ``read || write`` alternation) and ``event_type`` the object type.
+    ``read || write`` alternation) and ``event_type`` the object type; every
+    pattern has both, so the ``(event type, operation)`` postings always
+    bound the scan.
     """
 
-    event_type: str | None
-    operations: frozenset[str] | None
+    event_type: str
+    operations: frozenset[str]
     subject_exact: str | None = None
     subject_like: str | None = None
     object_exact: str | None = None
@@ -59,33 +61,18 @@ def _profile_postings(partition: Partition, profile: PatternProfile,
     constrained value, which is both the exact unwindowed bound and the
     population a windowed histogram is built over.
     """
-    dims: list[tuple[object, Callable[[], Sequence[Event]]]] = []
     etype = profile.event_type
-    if etype is not None and profile.operations:
-        ops = tuple(sorted(profile.operations))
-        index = partition.by_type_operation
+    ops = tuple(sorted(profile.operations))
+    type_ops = partition.by_type_operation
 
-        def _type_ops() -> list[Event]:
-            merged: list[Event] = []
-            for op in ops:
-                merged.extend(index.lookup((etype, op)))
-            return merged
+    def _type_ops() -> list[Event]:
+        merged: list[Event] = []
+        for op in ops:
+            merged.extend(type_ops.lookup((etype, op)))
+        return merged
 
-        dims.append((("type+op", etype, ops), _type_ops))
-    elif etype is not None:
-        dims.append((("type", etype),
-                     lambda: partition.by_type.lookup(etype)))
-    elif profile.operations:
-        ops = tuple(sorted(profile.operations))
-        index = partition.by_operation
-
-        def _ops() -> list[Event]:
-            merged: list[Event] = []
-            for op in ops:
-                merged.extend(index.lookup(op))
-            return merged
-
-        dims.append((("op", ops), _ops))
+    dims: list[tuple[object, Callable[[], Sequence[Event]]]] = [
+        (("type+op", etype, ops), _type_ops)]
     if profile.subject_exact is not None:
         name = profile.subject_exact
         dims.append((("subject", name),
@@ -94,11 +81,11 @@ def _profile_postings(partition: Partition, profile: PatternProfile,
         pattern = profile.subject_like
         dims.append((("subject~", pattern),
                      lambda: partition.by_subject_name.lookup_like(pattern)))
-    if profile.object_exact is not None and etype is not None:
+    if profile.object_exact is not None:
         key = (etype, profile.object_exact)
         dims.append((("object", key),
                      lambda: partition.by_object_value.lookup(key)))
-    elif profile.object_like is not None and etype is not None:
+    elif profile.object_like is not None:
         pattern = profile.object_like
         regex = like_to_regex(pattern)
         index = partition.by_object_value
@@ -151,24 +138,18 @@ def estimate_partition(partition: Partition, profile: PatternProfile,
         if bindings.objects is not None:
             bounds.append(partition.by_object_id.count_many(
                 bindings.objects))
-    if profile.event_type is not None and profile.operations:
-        bounds.append(sum(
-            partition.by_type_operation.count((profile.event_type, op))
-            for op in profile.operations))
-    elif profile.event_type is not None:
-        bounds.append(partition.by_type.count(profile.event_type))
-    elif profile.operations:
-        bounds.append(sum(
-            partition.by_operation.count(op) for op in profile.operations))
+    bounds.append(sum(
+        partition.by_type_operation.count((profile.event_type, op))
+        for op in profile.operations))
     if profile.subject_exact is not None:
         bounds.append(partition.by_subject_name.count(profile.subject_exact))
     elif profile.subject_like is not None:
         bounds.append(partition.by_subject_name.count_like(
             profile.subject_like))
-    if profile.object_exact is not None and profile.event_type is not None:
+    if profile.object_exact is not None:
         bounds.append(partition.by_object_value.count(
             (profile.event_type, profile.object_exact)))
-    elif profile.object_like is not None and profile.event_type is not None:
+    elif profile.object_like is not None:
         bounds.append(sum(
             len(partition.by_object_value.lookup(key))
             for key in partition.by_object_value.keys()

@@ -270,12 +270,16 @@ class EventStore:
 #: to a walk that stops at the k-th survivor.
 _ORDERED_COST_FACTOR = 4
 
+#: Rows per chunk of the ordered time-index walk: the residual runs
+#: chunk-at-a-time so the walk can stop once ``limit`` survivors are
+#: found, instead of filtering the entire span up front.
+ORDERED_CHUNK = 2048
+
 
 def _first_survivors(events: list[Event], lo: int, hi: int,
                      test: Callable[[Event], bool], k: int,
                      ) -> tuple[list[Event], int]:
     """First ``k`` survivors of a ``(ts, id)``-sorted span, walk count."""
-    from repro.storage.backend import ORDERED_CHUNK
     out: list[Event] = []
     pos = lo
     while pos < hi and len(out) < k:
@@ -295,7 +299,6 @@ def _last_survivors(events: list[Event], lo: int, hi: int,
     would displace it, so the stop test is *strictly* earlier-than.
     """
     import heapq
-    from repro.storage.backend import ORDERED_CHUNK
     key = lambda event: (-event.ts, event.id)  # noqa: E731
     collected: list[Event] = []
     pos = hi
@@ -333,8 +336,8 @@ def _access_paths(partition: Partition, profile: PatternProfile,
     """Enumerate every candidate access path for this partition.
 
     Candidate paths are costed by their (exactly known) result sizes; the
-    caller picks the smallest.  Falls back to the event-type posting
-    list, then to a full partition read.  A time window adds the
+    caller picks the smallest.  The (event type, operation) postings are
+    always a path, since every pattern names both.  A time window adds the
     binary-searched time-index range scan as a path of its own, so a
     narrowed temporal bound beats every posting list once it covers fewer
     events; propagated identity bindings add the posting-list
@@ -363,31 +366,30 @@ def _access_paths(partition: Partition, profile: PatternProfile,
         paths.append(AccessPath(
             "posting(subject)", count,
             lambda: partition.by_subject_name.lookup(profile.subject_exact)))
-    if profile.object_exact is not None and profile.event_type is not None:
+    if profile.object_exact is not None:
         key = (profile.event_type, profile.object_exact)
         paths.append(AccessPath(
             "posting(object)", partition.by_object_value.count(key),
             lambda: partition.by_object_value.lookup(key)))
-    if profile.event_type is not None and profile.operations:
-        ops = sorted(profile.operations)
-        count = sum(partition.by_type_operation.count(
-            (profile.event_type, op)) for op in ops)
+    ops = sorted(profile.operations)
+    count = sum(partition.by_type_operation.count((profile.event_type, op))
+                for op in ops)
 
-        def _by_ops() -> list[Event]:
-            merged: list[Event] = []
-            for op in ops:
-                merged.extend(partition.by_type_operation.lookup(
-                    (profile.event_type, op)))
-            return merged
+    def _by_ops() -> list[Event]:
+        merged: list[Event] = []
+        for op in ops:
+            merged.extend(partition.by_type_operation.lookup(
+                (profile.event_type, op)))
+        return merged
 
-        paths.append(AccessPath("posting(type+op)", count, _by_ops))
+    paths.append(AccessPath("posting(type+op)", count, _by_ops))
     if profile.subject_like is not None:
         count = partition.by_subject_name.count_like(profile.subject_like)
         paths.append(AccessPath(
             "posting(subject-like)", count,
             lambda: partition.by_subject_name.lookup_like(
                 profile.subject_like)))
-    if profile.object_like is not None and profile.event_type is not None:
+    if profile.object_like is not None:
         # Resolve the matching keys once: the key scan is cheap (distinct
         # attribute values, not events) and gives the exact path cost.
         regex = like_to_regex(profile.object_like)
@@ -406,11 +408,4 @@ def _access_paths(partition: Partition, profile: PatternProfile,
 
         paths.append(AccessPath("posting(object-like)", count,
                                 _by_object_like))
-    if profile.event_type is not None:
-        paths.append(AccessPath(
-            "posting(type)", partition.by_type.count(profile.event_type),
-            lambda: partition.by_type.lookup(profile.event_type)))
-    if not paths:
-        paths.append(AccessPath("full-partition", len(partition),
-                                partition.events))
     return paths

@@ -4,7 +4,7 @@ Usage (also via ``python -m repro``):
 
     repro simulate --scenario demo --events-per-host 1000 --out day.jsonl
     repro query day.jsonl 'proc p["%sbblv%"] write ip i as e1 return p, i'
-    repro query day.jsonl --backend columnar 'proc p write file f as e1 return f'
+    repro query day.jsonl --backend sqlite 'proc p write file f as e1 return f'
     repro explain day.jsonl "$(cat query.aiql)"
     repro check 'proc p[ start proc c as e1 return c'
     repro repl day.jsonl
@@ -12,10 +12,10 @@ Usage (also via ``python -m repro``):
     repro investigate day.jsonl --catalog figure4
 
 Every data-loading command accepts ``--backend`` to pick the storage
-substrate the engine runs on — a single-node builtin (``row``,
-``columnar``, ``sqlite``; default: row) or the multi-process
-scatter-gather tier (``sharded``, ``sharded(columnar)``, ... with
-``--shards N`` setting the worker fan-out).  Queries run serially; the
+substrate the engine runs on — a single-node builtin (``row`` or
+``sqlite``; default: row) or the multi-process scatter-gather tier
+(``sharded``, ``sharded(sqlite)``, ... with ``--shards N`` setting the
+worker fan-out).  Queries run serially; the
 sharded backends are the one source of parallelism.
 
 Event files are the JSONL archive format of

@@ -171,11 +171,11 @@ class TestSerialPlan:
 
 
 class TestVectorizedAndTopK:
-    """The vectorized fast path and the pushed-down, bounded-heap ``top``
-    are pure optimizations: the columnar batch path must produce the row
-    store's rows byte for byte, and a ``top N`` must equal the first N
-    rows of the same query without it — ties at the cut, null sort keys,
-    and ``top`` larger than the result included."""
+    """The pushed-down, bounded-heap ``top`` is a pure optimization: a
+    sqlite replay must produce the row store's rows byte for byte, and a
+    ``top N`` must equal the first N rows of the same query without it —
+    ties at the cut, null sort keys, and ``top`` larger than the result
+    included."""
 
     @pytest.fixture
     def tied_store(self):
@@ -197,15 +197,15 @@ class TestVectorizedAndTopK:
         return store
 
     def _checked_rows(self, store, aiql):
-        """Rows from ``store`` and its columnar replay, checked equal to
+        """Rows from ``store`` and its sqlite replay, checked equal to
         each other and to the untruncated query cut to ``top``."""
         from dataclasses import replace
         from repro.storage.backend import create_backend
         query = parse(aiql)
-        columnar = create_backend("columnar")
-        columnar.ingest(store.scan())
+        replay = create_backend("sqlite")
+        replay.ingest(store.scan())
         rows = execute(store, query).rows
-        assert execute(columnar, query).rows == rows
+        assert execute(replay, query).rows == rows
         if query.top is not None:
             full = execute(store, replace(query, top=None)).rows
             assert rows == full[:query.top]
@@ -231,7 +231,7 @@ class TestVectorizedAndTopK:
     def test_descending_sort_with_nulls(self, tied_store):
         """Half the subjects carry ``user=None``: the null-safe
         composite key must rank nulls identically in the bounded heap,
-        the full stable sort, and the vectorized path — nulls last
+        the full stable sort, and the sqlite replay — nulls last
         under ``desc``, ties still broken by time order."""
         rows = self._checked_rows(
             tied_store, 'proc p write file f as e1\n'
@@ -244,8 +244,8 @@ class TestVectorizedAndTopK:
         assert users[12:] == [None] * 3
 
     def test_projection_of_never_filtered_attribute(self, tied_store):
-        """Returning an attribute no constraint mentions exercises
-        projection pushdown's "carry the column anyway" path."""
+        """Returning an attribute no constraint mentions still reads it
+        from every survivor."""
         rows = self._checked_rows(
             tied_store, 'amount >= 200\nproc p write file f as e1\n'
                         'return e1.failcode, f, e1.amount')
@@ -261,13 +261,12 @@ class TestVectorizedAndTopK:
         assert len(set(rows)) == 3
 
     def test_matrix_agrees_across_backends(self, tied_store):
-        """The same checks on columnar and sqlite replays of the row
-        store: every backend, one row set."""
+        """The same checks on a sqlite replay of the row store: every
+        backend, one row set."""
         from repro.storage.backend import create_backend
         aiql = ('amount >= 100\nproc p write file f as e1\n'
                 'return f, e1.amount sort by e1.ts desc top 10')
         reference = self._checked_rows(tied_store, aiql)
-        for name in ("columnar", "sqlite"):
-            replay = create_backend(name)
-            replay.ingest(tied_store.scan())
-            assert self._checked_rows(replay, aiql) == reference
+        replay = create_backend("sqlite")
+        replay.ingest(tied_store.scan())
+        assert self._checked_rows(replay, aiql) == reference

@@ -104,8 +104,6 @@ class TestPartitionIndexes:
         table = Hypertable()
         table.add(make_event(1, 10.0, 1))
         partition = next(table.partitions())
-        assert partition.by_operation.count("write") == 1
-        assert partition.by_type.count("file") == 1
         assert partition.by_type_operation.count(("file", "write")) == 1
         assert partition.by_subject_name.count("p.exe") == 1
         assert partition.by_object_value.count(("file", "/tmp/f")) == 1

@@ -84,3 +84,20 @@ class TestTemporalNormalization:
                  'with e2 after e1\nreturn c')
         assert p.temporal[0].relation == "before"
         assert (p.temporal[0].left, p.temporal[0].right) == ("e1", "e2")
+
+
+class TestErrorPropagation:
+    def test_unexpected_attribute_error_propagates(self, monkeypatch):
+        """Only DataModelError means "no such attribute"; anything else
+        escapes instead of silently dropping the scan-order pushdown."""
+        import repro.engine.planner as planner
+
+        def broken(name):
+            raise RuntimeError("attribute registry failed")
+
+        query = parse('proc p write file f as e1\n'
+                      'return f sort by e1.ts desc top 3')
+        assert plan_multievent(query).scan_order is not None
+        monkeypatch.setattr(planner, "canonical_event_attribute", broken)
+        with pytest.raises(RuntimeError, match="registry failed"):
+            plan_multievent(query)

@@ -1,10 +1,10 @@
 """Shard-boundary behavior of the scatter-gather tier.
 
 The generic backend contract already runs verbatim against
-``sharded(row)`` / ``sharded(columnar)`` (CI matrix legs); this file
-pins down what only a *sharded* store can get wrong: routing, empty and
-skewed shards, coordinator-side shard pruning, merged statistics,
-wire-batch rebuilds, and the failure model (worker death →
+``sharded(row)`` (a CI matrix leg); this file pins down what only a
+*sharded* store can get wrong: routing, empty and skewed shards,
+coordinator-side shard pruning, merged statistics, the global top-k
+merge, and the failure model (worker death →
 ``ShardFailedError`` + restart, never a hang or a silent partial
 result).
 """
@@ -126,6 +126,7 @@ class TestShardPruning:
 
 
 class TestMergedStatistics:
+    # "columnar" is the deprecated alias of "row".
     @pytest.mark.parametrize("inner", ["row", "columnar", "sqlite"])
     def test_estimate_parity_with_single_node(self, inner):
         single = create_backend(inner, bucket_seconds=100.0)
@@ -159,47 +160,26 @@ class TestMergedStatistics:
 
 
 class TestBatchGather:
-    def test_wire_batches_decode_byte_identical(self):
-        single = create_backend("columnar", bucket_seconds=1000)
-        events = fill(single, agents=(1, 2, 3, 4), events_per_agent=12)
-        with ShardedStore(shards=3, backend="columnar",
-                          bucket_seconds=1000) as sharded:
-            sharded.ingest(events)
-            spec = ScanSpec(projection=frozenset({"operation", "amount"}))
-            batches, fetched = sharded.select_batches(
-                PROFILE, MATCH_ALL, spec)
-            sbatches, sfetched = single.select_batches(
-                PROFILE, MATCH_ALL, spec)
-            assert fetched == sfetched
-
-            def rows(batch_list):
-                return sorted(
-                    (batch.agentid, batch.ids[i], batch.ts[i],
-                     batch.operations()[i], batch.amounts[i])
-                    for batch in batch_list for i in range(len(batch)))
-            assert rows(batches) == rows(sbatches)
-
     def test_global_topk_trim_across_shards(self):
-        single = create_backend("columnar", bucket_seconds=1000)
+        single = create_backend("row", bucket_seconds=1000)
         events = fill(single, agents=(1, 2, 3, 4), events_per_agent=12)
-        with ShardedStore(shards=3, backend="columnar",
+        with ShardedStore(shards=3, backend="row",
                           bucket_seconds=1000) as sharded:
             sharded.ingest(events)
-            spec = ScanSpec(projection=frozenset({"amount"}),
-                            order=ScanOrder(descending=True, limit=5))
-            batches, _ = sharded.select_batches(PROFILE, MATCH_ALL, spec)
-            got = sorted(((batch.ts[i], batch.ids[i])
-                          for batch in batches for i in range(len(batch))),
-                         key=lambda pair: (-pair[0], pair[1]))
+            spec = ScanSpec(order=ScanOrder(descending=True, limit=5))
+            survivors, _ = sharded.select(PROFILE, MATCH_ALL, spec)
+            got = [(event.ts, event.id) for event in survivors]
             want = sorted(((e.ts, e.id) for e in events),
                           key=lambda pair: (-pair[0], pair[1]))[:5]
             assert got == want
 
     def test_sharded_row_has_no_batch_surface(self):
-        with ShardedStore(shards=2, backend="row") as sharded:
-            assert not hasattr(sharded, "select_batches")
-        with ShardedStore(shards=2, backend="columnar") as sharded:
-            assert hasattr(sharded, "select_batches")
+        # The deprecated columnar alias hosts the row store too: neither
+        # spelling grows a column-batch scan.
+        for inner in ("row", "columnar"):
+            with ShardedStore(shards=2, backend=inner) as sharded:
+                assert sharded.backend_name == "sharded(row)"
+                assert not hasattr(sharded, "select_batches")
 
 
 class TestFailureModel:
@@ -262,8 +242,8 @@ class TestFailureModel:
 class TestRegistryAndNaming:
     def test_parse_backend_name(self):
         assert parse_backend_name("sharded") == ("row", DEFAULT_SHARDS)
-        assert parse_backend_name("sharded(columnar)") == (
-            "columnar", DEFAULT_SHARDS)
+        assert parse_backend_name("sharded(row)") == (
+            "row", DEFAULT_SHARDS)
         assert parse_backend_name("sharded(sqlite,6)") == ("sqlite", 6)
         with pytest.raises(StorageError):
             parse_backend_name("columnar")
@@ -272,8 +252,9 @@ class TestRegistryAndNaming:
 
     def test_create_backend_with_explicit_shard_count(self):
         with create_backend("sharded(columnar,3)") as sharded:
+            # The deprecated alias names the row store.
             assert sharded.shards == 3
-            assert sharded.backend_name == "sharded(columnar)"
+            assert sharded.backend_name == "sharded(row)"
 
     def test_unknown_inner_backend_fails_fast(self):
         with pytest.raises(StorageError):

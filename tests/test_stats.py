@@ -87,7 +87,8 @@ class TestEstimatePartition:
 
     def test_empty_partition(self):
         empty = Partition((9, 0))
-        profile = PatternProfile(event_type="file", operations=None)
+        profile = PatternProfile(event_type="file",
+                                 operations=frozenset({"read"}))
         assert estimate_partition(empty, profile, None) == 0
 
     def test_total_sums_partitions(self, partition):

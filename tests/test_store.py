@@ -3,11 +3,14 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.engine.filters import Atom, compile_atoms, type_operation_atoms
+from repro.engine.planner import plan_multievent
 from repro.errors import DataModelError, StorageError
+from repro.lang.parser import parse
 from repro.model.entities import FileEntity, NetworkEntity, ProcessEntity
 from repro.model.events import Event
 from repro.model.timeutil import Window
-from repro.storage.backend import ScanSpec
+from repro.storage.backend import IdentityBindings, ScanSpec
 from repro.storage.ingest import IngestPipeline
 from repro.storage.stats import PatternProfile
 from repro.storage.store import EventStore
@@ -102,6 +105,104 @@ class TestCandidates:
             if (event.event_type == "file" and event.operation == "write"
                     and event.subject.exe_name == "writer.exe"):
                 assert event.id in candidate_ids
+
+
+class TestResidualSelect:
+    """``select`` applies the generated residual exactly, whatever the
+    access path fetched."""
+
+    OPS = frozenset({"read", "write"})
+
+    def _select(self, store, *atoms, spec=None):
+        compiled = compile_atoms(
+            [*type_operation_atoms("file", self.OPS), *atoms])
+        profile = PatternProfile(event_type="file", operations=self.OPS)
+        return store.select(profile, compiled, spec)
+
+    @pytest.fixture
+    def amounts_store(self) -> EventStore:
+        store = EventStore(bucket_seconds=1000)
+        writer = ProcessEntity(1, 10, "writer.exe")
+        reader = ProcessEntity(1, 11, "reader.exe")
+        for i in range(40):
+            store.record(float(i), 1, "write", writer,
+                         FileEntity(1, f"/data/{i % 4}.txt"), amount=10 * i)
+        for i in range(10):
+            store.record(2000.0 + i, 2, "read", reader,
+                         FileEntity(2, "/data/0.txt"), amount=5)
+        return store
+
+    def test_string_valued_ordered_atom_matches_nothing(self, amounts_store):
+        # number <op> string is False, not an error.
+        events, fetched = self._select(
+            amounts_store, Atom("event", "amount", ">", "high"))
+        assert events == [] and fetched == 50
+
+    def test_in_atom_on_numeric_column(self, amounts_store):
+        events, _fetched = self._select(
+            amounts_store, Atom("event", "amount", "in", (5, 30)))
+        assert {e.amount for e in events} == {5, 30}
+        assert len(events) == 11
+
+    def test_amount_range_filter(self, amounts_store):
+        events, _fetched = self._select(
+            amounts_store, Atom("event", "amount", ">", 100),
+            Atom("event", "amount", "<=", 200))
+        assert sorted(e.amount for e in events) == list(range(110, 210, 10))
+
+    def test_window_clips_out_of_order_records(self):
+        store = EventStore(bucket_seconds=10_000)
+        proc = ProcessEntity(1, 1, "p.exe")
+        for ts in (5.0, 1.0, 3.0, 9.0):  # out of order on purpose
+            store.record(ts, 1, "write", proc, FileEntity(1, "/f"))
+        assert [e.ts for e in store.scan(Window(2.0, 8.0))] == [3.0, 5.0]
+        events, _fetched = self._select(
+            store, spec=ScanSpec(window=Window(2.0, 8.0)))
+        assert sorted(e.ts for e in events) == [3.0, 5.0]
+
+
+class TestLargeBindingSets:
+    """Binding sets of any size produce exactly the post-filter's
+    survivors."""
+
+    def _wide_store(self, count: int) -> EventStore:
+        store = EventStore(bucket_seconds=10_000)
+        for index in range(count):
+            store.record(float(index), 1, "write",
+                         ProcessEntity(1, index + 10, f"proc{index}.exe"),
+                         FileEntity(1, f"/data/{index}"))
+        return store
+
+    def _write_query(self):
+        return plan_multievent(parse(
+            "proc p write file f as e1 return f")).data_queries[0]
+
+    def test_large_binding_set_matches_post_filter(self):
+        store = self._wide_store(400)
+        identities = frozenset(
+            ProcessEntity(1, index + 10, f"proc{index}.exe").identity
+            for index in range(300))
+        dq = self._write_query()
+        bindings = IdentityBindings(subjects=identities)
+        survivors, _fetched = store.select(
+            dq.profile, dq.compiled, ScanSpec(bindings=bindings))
+        assert len(survivors) == 300
+        assert all(bindings.admits(e) for e in survivors)
+        assert store.estimate(dq.profile, ScanSpec(bindings=bindings)) == 300
+
+    def test_sparse_binding_set_matches_post_filter(self):
+        store = self._wide_store(200)
+        identities = frozenset(
+            ProcessEntity(1, index + 10, f"proc{index}.exe").identity
+            for index in range(0, 40, 2))
+        dq = self._write_query()
+        bindings = IdentityBindings(subjects=identities)
+        survivors, _fetched = store.select(dq.profile, dq.compiled,
+                                           ScanSpec(bindings=bindings))
+        baseline, _ = store.select(dq.profile, dq.compiled)
+        expected = sorted(e.id for e in baseline if bindings.admits(e))
+        assert sorted(e.id for e in survivors) == expected
+        assert len(expected) == 20
 
 
 class TestIngestPipeline:

@@ -23,6 +23,8 @@ from repro.investigate import FIGURE4_QUERIES, FIGURE5_QUERIES
 from repro.model.entities import FileEntity, ProcessEntity
 from repro.model.events import Event
 
+#: ``columnar`` is the deprecated alias of ``row``; it stays in the matrix
+#: while the benchmark still selects it by that name.
 ALL_BACKENDS = ("row", "columnar", "sqlite")
 
 BACKENDS = tuple(

@@ -25,6 +25,8 @@ from repro.storage.partition import Hypertable
 from repro.storage.wal import WriteAheadLog
 from repro.stream import EventBus
 
+#: ``columnar`` is the deprecated alias of ``row``; it stays in the matrix
+#: while the benchmark still selects it by that name.
 BACKENDS = ("row", "columnar", "sqlite")
 
 

@@ -5,9 +5,9 @@ figure-4/figure-5 catalog query executes cleanly on every storage backend
 under each optimizer-lever combination — the scheduler never emits a
 :class:`~repro.storage.backend.ScanSpec` the independent re-derivation in
 :mod:`repro.engine.verify` rejects.  Negative direction: hand-corrupted
-specs (dropped projection columns, over-tight bounds, unjustified order
-or bindings) raise :class:`PlanVerificationError` with a message naming
-the exact violation.
+specs (over-tight bounds, unjustified order or bindings) raise
+:class:`PlanVerificationError` with a message naming the exact
+violation.
 
 CI's backend matrix restricts each leg via ``REPRO_CONTRACT_BACKENDS``,
 mirroring the backend contract suite.
@@ -23,13 +23,15 @@ import pytest
 from repro.engine.executor import execute
 from repro.engine.options import EngineOptions
 from repro.engine.planner import plan_multievent
-from repro.engine.verify import (PlanVerificationError, consumed_columns,
-                                 implied_bounds, verify_spec)
+from repro.engine.verify import (PlanVerificationError, implied_bounds,
+                                 verify_spec)
 from repro.investigate import FIGURE4_QUERIES, FIGURE5_QUERIES
 from repro.lang.parser import parse
 from repro.storage.backend import (IdentityBindings, ScanOrder, ScanSpec,
                                    TemporalBounds, create_backend)
 
+#: ``columnar`` is the deprecated alias of ``row``; it stays in the matrix
+#: while the benchmark still selects it by that name.
 ALL_BACKENDS = ("row", "columnar", "sqlite")
 
 BACKENDS = tuple(
@@ -39,9 +41,8 @@ BACKENDS = tuple(
 
 #: Each lever combination exercises a different spec-derivation path in
 #: the scheduler (full propagation state, no propagation state,
-#: plan-order patterns); single-pattern queries take the vectorized path
-#: on columnar and the scheduler elsewhere.  The verifier must accept the
-#: emitted specs under all of them.
+#: plan-order patterns).  The verifier must accept the emitted specs
+#: under all of them.
 LEVERS = {
     "default": EngineOptions(verify_plans=True),
     "no-propagate": EngineOptions(verify_plans=True, propagate=False),
@@ -105,29 +106,6 @@ class TestVerifierIsWired:
         exfil_session.query(QUERY1, options=EngineOptions(verify_plans=True))
         assert len(calls) >= 4  # one spec per executed pattern, at least
 
-    def test_vectorized_path_calls_verifier(self, monkeypatch):
-        import repro.engine.verify as verify_mod
-        calls = []
-        real = verify_mod.verify_spec
-        def spy(plan, dq, spec, **state):
-            calls.append(spec)
-            return real(plan, dq, spec, **state)
-        monkeypatch.setattr(verify_mod, "verify_spec", spy)
-        from repro.model.entities import FileEntity, ProcessEntity
-        store = create_backend("columnar")
-        writer = ProcessEntity(1, 10, "writer.exe")
-        for i in range(20):
-            store.record(float(i), 1, "write", writer,
-                         FileEntity(1, f"/data/{i}.txt"), amount=100)
-        query = parse('proc p1 write file f1 as evt\n'
-                      'return p1.exe_name, f1.name')
-        plan = plan_multievent(query)
-        from repro.engine.vectorized import execute_vectorized
-        fast = execute_vectorized(store, plan, query,
-                                  EngineOptions(verify_plans=True))
-        assert fast is not None        # the fast path actually ran
-        assert len(calls) == 1
-
     def test_off_by_default(self, exfil_session, monkeypatch):
         import repro.engine.verify as verify_mod
         def explode(*args, **kwargs):
@@ -164,16 +142,8 @@ class TestCorruptedSpecs:
         plan, dq, state = two_pattern
         spec = ScanSpec(
             bindings=IdentityBindings(objects=frozenset(F1_IDS)),
-            bounds=TemporalBounds(lo=100.0, hi=210.0, lo_strict=True),
-            projection=frozenset({"subject", "object"}))
+            bounds=TemporalBounds(lo=100.0, hi=210.0, lo_strict=True))
         verify_spec(plan, dq, spec, **state)  # must not raise
-
-    def test_projection_missing_consumed_column(self, two_pattern):
-        plan, dq, state = two_pattern
-        spec = ScanSpec(projection=frozenset({"amount"}))
-        with pytest.raises(PlanVerificationError,
-                           match=r"missing consumed column\(s\) \['object'\]"):
-            verify_spec(plan, dq, spec, **state)
 
     def test_bounds_tighter_than_closure_implies(self, two_pattern):
         plan, dq, state = two_pattern
@@ -290,27 +260,6 @@ class TestOrderRules:
 # ---------------------------------------------------------------------------
 
 class TestDerivations:
-    def test_consumed_columns_cover_joins_and_returns(self, two_pattern):
-        plan, dq, _state = two_pattern
-        # e2 reads nothing event-level; f1 is its object and also joins.
-        assert consumed_columns(plan.query, plan, dq) == frozenset({"object"})
-        e1 = next(d for d in plan.data_queries if d.event_var == "e1")
-        # p1.exe_name is returned -> subject; f1 joins -> object.
-        assert consumed_columns(plan.query, plan, e1) == \
-            frozenset({"subject", "object"})
-
-    def test_consumed_columns_unknowable_for_expressions(self):
-        # Non-variable return items (an aggregate sneaked past the lax
-        # parse used by tooling) are compiled against full rows; the only
-        # sound projection is none at all.
-        from repro.lang.parser import parse_with_spans
-        query, _spans = parse_with_spans(
-            'proc p1 write file f1 as e1\n'
-            'return avg(e1.amount)', check=False)
-        plan = plan_multievent(query)
-        assert consumed_columns(query, plan,
-                                plan.data_queries[0]) is None
-
     def test_implied_bounds_from_executed_partner(self, two_pattern):
         plan, dq, state = two_pattern
         bounds = implied_bounds(dq, state["closure"], state["ts_bounds"])

@@ -6,10 +6,9 @@ alongside ruff/mypy and runnable anywhere Python is (no dependencies):
 
 ``scan-bypass``
     Engine code must hand every backend scan a :class:`ScanSpec`.  A
-    ``.select(profile, compiled)`` / ``.estimate(profile)`` /
-    ``.select_batches(profile, compiled)`` call without the spec
-    argument silently loses the pushdown contract (window, bindings,
-    bounds, projection, order) — the exact bug class the plan verifier
+    ``.select(profile, compiled)`` / ``.estimate(profile)`` call
+    without the spec argument silently loses the pushdown contract
+    (window, bindings, bounds, order) — the exact bug class the plan verifier
     exists to catch at runtime, caught here statically.
 
 ``wall-clock``
@@ -71,8 +70,8 @@ import sys
 from pathlib import Path
 
 #: Backend scan entry points and the argument count that includes a spec.
-SCAN_METHODS = {"select": 3, "select_batches": 3, "estimate": 2,
-                "candidates": 2, "access_path": 2}
+SCAN_METHODS = {"select": 3, "estimate": 2, "candidates": 2,
+                "access_path": 2}
 
 #: Modules (beyond repro/engine/) that issue backend scans and therefore
 #: fall under the scan-bypass rule: the shard RPC boundary may only ever
