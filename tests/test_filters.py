@@ -152,6 +152,12 @@ class TestGeneratedSource:
         assert not predicate(file_event(amount=5))
         assert not predicate(file_event(amount=7))
 
+    def test_empty_condition_accepts_all(self):
+        # No atoms compiles to a predicate that admits every event type.
+        predicate = compile_atoms([])
+        assert predicate(file_event())
+        assert predicate(ip_event())
+
     def test_none_valued_ordered_atom_matches_nothing(self):
         predicate = compile_atoms([Atom("event", "amount", "<", None)])
         assert not predicate(file_event(amount=0))

@@ -33,6 +33,18 @@ def store() -> EventStore:
     return st
 
 
+class TestConstruction:
+    def test_bad_bucket_size(self):
+        with pytest.raises(StorageError):
+            EventStore(bucket_seconds=0)
+
+    def test_partitions_split_by_agent_and_bucket(self, store):
+        # Agent 1's events share bucket [0, 1000); agent 2's event sits in
+        # the same bucket but its own agent partition.
+        assert store.partition_count == 2
+        assert store.agentids == {1, 2}
+
+
 class TestRecordAndScan:
     def test_record_interns_entities(self, store):
         # writer.exe appears in 50 events but is one entity.
